@@ -12,6 +12,7 @@ crossing-number lower bound.  Certificates are pure arithmetic in
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +27,7 @@ __all__ = [
     "set_size_t",
     "certify_k_planar_lb",
     "brute_min_pair_density",
+    "estimate_pair_density",
     "min_positive_n",
     "alpha_of",
 ]
@@ -211,11 +213,11 @@ def min_positive_n(d: int, k: int, mu_safe: float) -> int:
     return hi
 
 
-def brute_min_pair_density(g: Graph, t: int, cap: int = BRUTE_CAP) -> int:
+def brute_min_pair_density(g: Graph, t: int) -> int:
     """Exact min over all disjoint X, Y with |X| = |Y| = t of e(X, Y)."""
     n = g.n
-    if n > cap:
-        raise GraphError(f"n={n} exceeds brute-force cap {cap}")
+    if n > BRUTE_CAP:
+        raise GraphError(f"n={n} exceeds brute-force cap {BRUTE_CAP}")
     if not 1 <= t <= n // 2:
         raise ValueError(f"need 1 <= t <= n/2, got t={t}, n={n}")
     verts = range(n)
@@ -229,3 +231,35 @@ def brute_min_pair_density(g: Graph, t: int, cap: int = BRUTE_CAP) -> int:
                 if best == 0:
                     return 0
     return best
+
+
+def estimate_pair_density(g: Graph, k: int) -> dict:
+    """Non-certified density report for irregular graphs (ESTIMATE only):
+    the exact minimum pair density when brute force fits, else the minimum
+    over 500 seeded random pairs of size-t sets."""
+    n = g.n
+    t, t_ok = set_size_t(n, k)
+    p_hat = g.num_edges / (n * (n - 1) / 2) if n > 1 else 0.0
+    if n <= BRUTE_CAP and t <= n // 2:
+        min_density = brute_min_pair_density(g, t)
+        method = "exhaustive"
+    else:
+        rng = random.Random(0xE57)
+        best = None
+        for _ in range(500):
+            verts = rng.sample(range(n), 2 * t)
+            e = cut_size(g, verts[:t], verts[t:])
+            best = e if best is None else min(best, e)
+        min_density = best
+        method = "sampled-500-pairs"
+    return {
+        "label": "ESTIMATE",
+        "note": "graph is not regular; no certificate, densities are empirical",
+        "t": t,
+        "t_ok": t_ok,
+        "p_hat": p_hat,
+        "min_pair_density": min_density,
+        "method": method,
+        "threshold_half_binom": 0.5 * (t * (t - 1) / 2) * p_hat,
+        "threshold_half_square": 0.5 * t * t * p_hat,
+    }

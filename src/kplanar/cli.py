@@ -11,14 +11,14 @@ import csv
 import json
 import sys
 
-from .certify import brute_min_pair_density, certify_k_planar_lb, set_size_t
+from .certify import certify_k_planar_lb, estimate_pair_density
 from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
 from .graph import (EdgePartition, GraphError, random_edge_partition,
                     read_edge_list, write_edge_list)
 from .models import RegularModel, SampleError, sample_gnp, sample_regular
 from .partitions import exact_bisection, local_search_bisection, witness_chain
 from .seeds import derive_seed
-from .spectral import SpectralError, mu_bound, spectrum_full
+from .spectral import SpectralError, mu_bound, spectral_summary, spectrum_full
 
 _MODEL_TAGS = {m.value: m for m in RegularModel}
 
@@ -83,47 +83,12 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _estimate_density(g, k: int) -> dict:
-    """Non-certified density report for irregular graphs (ESTIMATE only)."""
-    import random as _random
-
-    from .graph import cut_size
-
-    n = g.n
-    t, t_ok = set_size_t(n, k)
-    p_hat = g.num_edges / (n * (n - 1) / 2) if n > 1 else 0.0
-    if n <= 12 and t <= n // 2:
-        min_density = brute_min_pair_density(g, t)
-        method = "exhaustive"
-    else:
-        rng = _random.Random(0xE57)
-        best = None
-        for _ in range(500):
-            verts = rng.sample(range(n), 2 * t)
-            e = cut_size(g, verts[:t], verts[t:])
-            best = e if best is None else min(best, e)
-        min_density = best
-        method = "sampled-500-pairs"
-    return {
-        "label": "ESTIMATE",
-        "note": "graph is not regular; no certificate, densities are empirical",
-        "t": t,
-        "t_ok": t_ok,
-        "p_hat": p_hat,
-        "min_pair_density": min_density,
-        "method": method,
-        "threshold_half_binom": 0.5 * (t * (t - 1) / 2) * p_hat,
-        "threshold_half_square": 0.5 * t * t * p_hat,
-    }
-
-
 def _cmd_certify(args) -> int:
     g = read_edge_list(args.infile)
     if g.regular_degree() is None:
-        _emit(_estimate_density(g, args.k), args)
+        _emit(estimate_pair_density(g, args.k), args)
         return 0
-    summary = spectrum_full(g) if g.n <= 400 else mu_bound(g, tol=args.tol)
-    cert = certify_k_planar_lb(g, args.k, summary)
+    cert = certify_k_planar_lb(g, args.k, spectral_summary(g, tol=args.tol))
     _emit(cert.to_dict(), args)
     if not args.quiet:
         sys.stdout.write(cert.transcript() + "\n")

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .graph import random_edge_partition
 from .models import RegularModel, max_degree_ok, sample_gnp, sample_regular
 from .partitions import local_search_bisection, witness_chain
 from .seeds import derive_seed
-from .spectral import friedman_check, mu_bound, spectrum_full
+from .spectral import friedman_check, spectral_summary
 
 __all__ = ["ExperimentConfig", "TrialRecord", "run_experiment", "write_records",
            "fit_scaling", "summarize_frequencies", "FitError"]
@@ -47,7 +48,6 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: int = 0
     tol: float = 1e-8
-    eps: float = 0.2
     with_witness: bool = False
     with_timings: bool = False
 
@@ -126,10 +126,10 @@ def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
         rec.max_degree = g.max_degree
         if not is_gnp:
             d = int(param)
-            summary = mu_bound(g, tol=cfg.tol) if g.n > 400 else spectrum_full(g)
+            summary = spectral_summary(g, tol=cfg.tol)
             rec.mu_safe = summary.mu_safe
             if g.regular_degree() == d:
-                rec.friedman_ok = friedman_check(g, d, cfg.eps, summary)
+                rec.friedman_ok = friedman_check(g, d, summary=summary)
                 cert = certify_k_planar_lb(g, cfg.k, summary)
                 rec.density_lb = cert.density_lb
                 rec.width_lb = cert.width_lb
@@ -154,37 +154,16 @@ def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
                    fmt: str = "csv") -> list[TrialRecord]:
     """One record per (cell, trial), in canonical order, deterministic given
-    the master seed.  When out_path is set, completed cells are flushed
-    incrementally so an interrupted run keeps its finished cells."""
-    records: list[TrialRecord] = []
-    sink = open(out_path, "w") if out_path and fmt == "csv" else None
-    try:
-        if sink:
-            sink.write(",".join(_columns(cfg)) + "\n")
-            sink.flush()
-        for ci, (n, param) in enumerate(cfg.cells):
-            cell_records = []
-            for t in range(cfg.trials):
-                seed = derive_seed(cfg.master_seed, ci * cfg.trials + t)
-                cell_records.append(_run_trial(cfg, n, param, t, seed))
-            records.extend(cell_records)
-            if sink:
-                for rec in cell_records:
-                    sink.write(_csv_row(rec, _columns(cfg)) + "\n")
-                sink.flush()
-    finally:
-        if sink:
-            sink.close()
-    if out_path and fmt == "json":
-        with open(out_path, "w") as fh:
-            json.dump([_jsonable(r.to_dict()) for r in records], fh, indent=1)
-            fh.write("\n")
-    return records
-
-
-def _columns(cfg: ExperimentConfig) -> list[str]:
-    # Wall time is opt-in: it would break byte-identical reruns.
-    return CSV_FIELDS + (["wall_time_s"] if cfg.with_timings else [])
+    the master seed.  When out_path is set, each row is flushed as it
+    completes, so an interrupted run keeps its finished cells."""
+    trials = (
+        _run_trial(cfg, n, param, t, derive_seed(cfg.master_seed, ci * cfg.trials + t))
+        for ci, (n, param) in enumerate(cfg.cells)
+        for t in range(cfg.trials)
+    )
+    if out_path:
+        return write_records(trials, out_path, fmt, cfg.with_timings)
+    return list(trials)
 
 
 def _fmt_value(v) -> str:
@@ -206,18 +185,29 @@ def _jsonable(d: dict) -> dict:
     return {k: v for k, v in d.items() if k != "wall_time_s" or v is not None}
 
 
-def write_records(records: list[TrialRecord], path: str, fmt: str = "csv",
-                  with_timings: bool = False) -> None:
+def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
+                  with_timings: bool = False) -> list[TrialRecord]:
+    """Write records to path as CSV or JSON and return them as a list.
+
+    CSV is flushed after the header and after every row, so when `records`
+    is computed lazily an interrupted run leaves its finished rows on disk.
+    """
+    # Wall time is opt-in: it would break byte-identical reruns.
     cols = CSV_FIELDS + (["wall_time_s"] if with_timings else [])
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([_jsonable(r.to_dict()) for r in records], fh, indent=1)
-            fh.write("\n")
-        return
+    written: list[TrialRecord] = []
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        if fmt == "csv":
+            fh.write(",".join(cols) + "\n")
+            fh.flush()
         for rec in records:
-            fh.write(_csv_row(rec, cols) + "\n")
+            written.append(rec)
+            if fmt == "csv":
+                fh.write(_csv_row(rec, cols) + "\n")
+                fh.flush()
+        if fmt == "json":
+            json.dump([_jsonable(r.to_dict()) for r in written], fh, indent=1)
+            fh.write("\n")
+    return written
 
 
 def fit_scaling(records, x_field: str, y_field: str) -> tuple[float, float, int]:

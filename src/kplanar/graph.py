@@ -19,7 +19,6 @@ __all__ = [
     "from_edge_list",
     "cut_size",
     "induced_subgraph",
-    "degree_stats",
     "random_edge_partition",
     "read_edge_list",
     "write_edge_list",
@@ -119,22 +118,12 @@ class Graph:
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, int]:
     """Build a simple graph, collapsing duplicate pairs.
 
-    Returns (graph, number of collapsed duplicates).  Rejects self-loops and
-    out-of-range endpoints.
+    Returns (graph, number of collapsed duplicates).  `Graph` rejects
+    self-loops and out-of-range endpoints.
     """
-    seen: set[tuple[int, int]] = set()
-    dups = 0
-    for u, v in pairs:
-        if u == v:
-            raise GraphError(f"self-loop ({u},{v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"endpoint out of range in ({u},{v}), n={n}")
-        e = _norm_edge(u, v)
-        if e in seen:
-            dups += 1
-        else:
-            seen.add(e)
-    return Graph(n, seen), dups
+    edges = [_norm_edge(u, v) for u, v in pairs]
+    unique = dict.fromkeys(edges)  # first-seen order, so errors name the first bad pair
+    return Graph(n, unique), len(edges) - len(unique)
 
 
 def cut_size(g: Graph, X: Iterable[int], Y: Iterable[int]) -> int:
@@ -164,12 +153,6 @@ def induced_subgraph(g: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
     members = set(back)
     edges = [(pos[u], pos[v]) for u, v in g.edges if u in members and v in members]
     return Graph(len(back), edges), back
-
-
-def degree_stats(g: Graph) -> tuple[list[int], int]:
-    """Per-vertex degrees and the sum of squared degrees."""
-    degs = list(g.degrees)
-    return degs, sum(d * d for d in degs)
 
 
 @dataclass(frozen=True)
@@ -221,12 +204,9 @@ class EdgePartition:
         if set(self.class_of) != set(g.edges):
             raise GraphError("edge partition does not cover exactly the host graph's edges")
 
-    def class_edges(self, c: int) -> list[tuple[int, int]]:
-        return [e for e, cls in self.class_of.items() if cls == c]
-
     def class_subgraph(self, g: Graph, c: int) -> Graph:
         """Subgraph of g on all n vertices keeping only class-c edges."""
-        return Graph(g.n, self.class_edges(c))
+        return Graph(g.n, [e for e, cls in self.class_of.items() if cls == c])
 
 
 def random_edge_partition(g: Graph, k: int, seed: int) -> EdgePartition:

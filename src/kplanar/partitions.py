@@ -69,7 +69,10 @@ def lemma1_split(bip1: Bipartition, bip2: Bipartition) -> tuple[tuple[int, ...],
         pick1, pick2 = b11 & b22, b12 & b21
     y1 = tuple(sorted(pick1))
     y2 = tuple(sorted(pick2))
-    assert len(y1) >= thresh and len(y2) >= thresh, "pigeonhole failed: not a balanced pair?"
+    if len(y1) < thresh or len(y2) < thresh:
+        raise AssertionError(
+            f"pigeonhole split failed: cells of sizes {len(y1)}, {len(y2)} < {thresh}"
+        )
     return y1, y2
 
 
@@ -77,15 +80,15 @@ def _min_side(n: int) -> int:
     return math.ceil(n / 3)
 
 
-def exact_bisection(g: Graph, cap: int = EXACT_CAP) -> BisectionResult:
+def exact_bisection(g: Graph) -> BisectionResult:
     """Exhaustive 1/3-2/3 bisection width b(G).
 
     Enumerates every block containing vertex 0 with size between ceil(n/3)
     and n - ceil(n/3); each bipartition is visited exactly once.
     """
     n = g.n
-    if n > cap:
-        raise GraphError(f"n={n} exceeds exact bisection cap {cap}")
+    if n > EXACT_CAP:
+        raise GraphError(f"n={n} exceeds exact bisection cap {EXACT_CAP}")
     if n < 2:
         raise GraphError("bisection needs at least 2 vertices")
     lo = _min_side(n)

@@ -1,10 +1,11 @@
 """Adjacency-operator eigenvalue computation.
 
 Two routes: a dense full-spectrum solve for small graphs and a Lanczos
-(ARPACK) largest-magnitude solve for large ones.  Both report mu, the
-largest absolute eigenvalue other than lambda_1, plus a residual so
-callers can use mu + residual as a safe upper estimate: overestimating mu
-only weakens the mixing bound, never invalidates it.
+(ARPACK) largest-magnitude solve for large ones; `spectral_summary` is the
+one place that picks between them.  Both report mu, the largest absolute
+eigenvalue other than lambda_1, plus a residual so callers can use
+mu + residual as a safe upper estimate: overestimating mu only weakens the
+mixing bound, never invalidates it.
 """
 from __future__ import annotations
 
@@ -22,11 +23,14 @@ __all__ = [
     "SpectralError",
     "spectrum_full",
     "mu_bound",
+    "spectral_summary",
     "friedman_check",
     "adjacency_matrix",
 ]
 
 DENSE_CAP = 2000
+# spectral_summary solves densely up to this many vertices, by Lanczos above.
+DENSE_CUTOVER = 400
 MATVEC_BUDGET = 100_000
 # Below this size ARPACK has no room to work; dense is exact and instant.
 _TINY = 8
@@ -67,13 +71,8 @@ class SpectralSummary:
         return out
 
 
-def adjacency_matrix(g: Graph, dense: bool = False):
-    """Symmetric adjacency matrix, CSR by default."""
-    if dense:
-        a = np.zeros((g.n, g.n))
-        for u, v in g.edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
+def adjacency_matrix(g: Graph):
+    """Symmetric adjacency matrix in CSR form."""
     if g.num_edges == 0:
         return sp.csr_matrix((g.n, g.n))
     e = np.asarray(g.edges)
@@ -103,7 +102,10 @@ def spectrum_full(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
         raise SpectralError(f"n={g.n} exceeds dense cap {cap}")
     if g.n == 0:
         return SpectralSummary(0, 0.0, 0.0, "dense", 0.0, ())
-    vals = np.linalg.eigvalsh(adjacency_matrix(g, dense=True))[::-1]
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    vals = np.linalg.eigvalsh(a)[::-1]
     resid = 10 * np.finfo(float).eps * g.n * max(1.0, float(abs(vals[0])))
     return SpectralSummary(
         n=g.n,
@@ -116,7 +118,7 @@ def spectrum_full(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
     )
 
 
-def mu_bound(g: Graph, tol: float = 1e-8, matvec_budget: int = MATVEC_BUDGET) -> SpectralSummary:
+def mu_bound(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     """lambda_1 and mu by Lanczos iteration on the sparse adjacency operator.
 
     Converged Ritz pairs are re-checked explicitly: the reported residual is
@@ -136,7 +138,7 @@ def mu_bound(g: Graph, tol: float = 1e-8, matvec_budget: int = MATVEC_BUDGET) ->
     dmax = g.max_degree
     v0 = np.random.default_rng(0xA5F0).standard_normal(g.n)
     ncv = min(g.n, max(4 * k, 40))
-    maxiter = max(10, matvec_budget // ncv)
+    maxiter = max(10, MATVEC_BUDGET // ncv)
     try:
         vals, vecs = spla.eigsh(
             a, k=k, which="LM", tol=tol * 1e-3, v0=v0, ncv=ncv, maxiter=maxiter
@@ -171,6 +173,12 @@ def mu_bound(g: Graph, tol: float = 1e-8, matvec_budget: int = MATVEC_BUDGET) ->
     )
 
 
+def spectral_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
+    """lambda_1 and mu of g: the dense solve up to DENSE_CUTOVER vertices,
+    Lanczos (`mu_bound` at `tol`) above."""
+    return spectrum_full(g) if g.n <= DENSE_CUTOVER else mu_bound(g, tol=tol)
+
+
 def friedman_check(
     g: Graph, d: int, eps: float = 0.2, summary: SpectralSummary | None = None
 ) -> bool:
@@ -182,5 +190,5 @@ def friedman_check(
     if g.regular_degree() != d:
         raise ValueError(f"graph is not {d}-regular (degrees {sorted(set(g.degrees))})")
     if summary is None:
-        summary = mu_bound(g) if g.n > DENSE_CAP else spectrum_full(g)
+        summary = spectral_summary(g)
     return summary.mu_safe <= 2.0 * math.sqrt(d - 1) + eps

@@ -4,14 +4,15 @@ from itertools import combinations
 import pytest
 
 from kplanar.certify import (BRUTE_CAP, brute_min_pair_density,
-                             certify_k_planar_lb, min_positive_n,
-                             mixing_density_lb, pss_lower_bound, set_size_t,
-                             threshold_c0)
+                             certify_k_planar_lb, estimate_pair_density,
+                             min_positive_n, mixing_density_lb,
+                             pss_lower_bound, set_size_t, threshold_c0)
 from kplanar.graph import Graph, GraphError, cut_size
 from kplanar.models import RegularModel, sample_regular
 from kplanar.spectral import spectrum_full
 
-from conftest import complete_bipartite, complete_graph, cycle_graph, petersen_graph
+from conftest import (complete_bipartite, complete_graph, cycle_graph, petersen_graph,
+                      random_graph)
 
 
 class TestMixingDensity:
@@ -151,3 +152,18 @@ class TestBruteDensity:
                 for t in (1, 2, 3):
                     lb = mixing_density_lb(n, d, mu, t / n, t / n)
                     assert brute_min_pair_density(g, t) >= lb - 1e-9
+
+
+class TestEstimateDensity:
+    def test_small_graph_is_exhaustive(self):
+        g = random_graph(10, 0.4, 7)
+        est = estimate_pair_density(g, 2)
+        assert est["label"] == "ESTIMATE" and est["method"] == "exhaustive"
+        assert est["min_pair_density"] == brute_min_pair_density(g, est["t"])
+
+    def test_large_graph_is_sampled_and_seeded(self):
+        g = random_graph(40, 0.2, 3)
+        est = estimate_pair_density(g, 2)
+        assert est["method"] == "sampled-500-pairs"
+        assert 0 <= est["min_pair_density"] <= est["t"] ** 2
+        assert est == estimate_pair_density(g, 2)

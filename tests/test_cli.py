@@ -1,8 +1,11 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from kplanar.cli import main
+from kplanar.cli import build_parser, main
 from kplanar.graph import write_edge_list
 
 from conftest import complete_graph, cycle_graph, petersen_graph, random_graph
@@ -139,3 +142,20 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
 def test_missing_file_is_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--in", "/nonexistent/g.txt")
     assert code == 1 and "error" in err
+
+
+def _readme_commands() -> list[str]:
+    """Every `kplanar ...` command in README.md's sh blocks, with backslash
+    continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.split("#")[0].strip() for line in lines
+            if line.strip().startswith("kplanar ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])

@@ -3,9 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from kplanar.graph import (Bipartition, Graph, GraphError, cut_size, degree_stats,
-                           from_edge_list, induced_subgraph, read_edge_list,
-                           write_edge_list)
+from kplanar.graph import (Bipartition, Graph, GraphError, cut_size, from_edge_list,
+                           induced_subgraph, read_edge_list, write_edge_list)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -106,17 +105,6 @@ def test_induced_preserves_adjacency_exhaustive():
             for i in range(sub.n):
                 for j in range(i + 1, sub.n):
                     assert sub.has_edge(i, j) == g.has_edge(back[i], back[j])
-
-
-def test_degree_stats_k5():
-    degs, ssq = degree_stats(complete_graph(5))
-    assert degs == [4] * 5 and ssq == 80
-
-
-def test_degree_stats_regular_and_empty():
-    c = cycle_graph(8)
-    assert degree_stats(c)[1] == 8 * 4
-    assert degree_stats(Graph(5, []))[1] == 0
 
 
 def test_bipartition_balance():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kplanar.graph import Graph
+from kplanar.models import RegularModel, sample_regular
 from kplanar.spectral import (SpectralError, friedman_check, mu_bound,
-                              spectrum_full)
+                              spectral_summary, spectrum_full)
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph,
                       petersen_graph, random_graph)
@@ -116,6 +117,16 @@ def test_friedman_check_k4(k4):
 
 def test_friedman_check_k33_fails():
     assert not friedman_check(complete_bipartite(3, 3), 3, eps=0.1)
+
+
+def test_spectral_summary_cutover_at_400():
+    assert spectral_summary(random_graph(400, 0.02, 1)).method == "dense"
+    assert spectral_summary(random_graph(401, 0.02, 1)).method == "iterative"
+
+
+def test_friedman_check_default_uses_spectral_summary():
+    g = sample_regular(600, 4, RegularModel.UNIFORM_SIMPLE, 5).graph
+    assert friedman_check(g, 4) == friedman_check(g, 4, summary=spectral_summary(g))
 
 
 def test_friedman_check_rejects_irregular():
