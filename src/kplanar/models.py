@@ -1,10 +1,14 @@
 """Seeded random-graph samplers and Chernoff-style tail formulas.
 
 G(n, p) uses geometric skip sampling, so cost scales with the number of
-edges rather than with C(n, 2).  The regular models natively produce
-multigraphs; loops are removed and parallel edges collapsed, with counts
-reported, so every sampler returns a simple graph.  All samplers are pure
-functions of (parameters, seed).
+edges rather than with C(n, 2).  PERMUTATION, FULL_CYCLE and MATCHING
+natively produce multigraphs; their loops are removed and parallel edges
+collapsed, with both counts reported.  UNIFORM_SIMPLE instead rejects every
+pairing with a loop or a parallel edge, tests each in numpy and builds a
+Graph only for the accepted one, reports the rejections as
+`rejected_attempts`, and refuses at call time any d (d >= 8) whose expected
+attempt count exceeds its budget.  Every sampler returns a simple graph and
+is a pure function of (parameters, seed).
 """
 from __future__ import annotations
 
@@ -106,20 +110,42 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, list(zip(u.tolist(), v.tolist())))
 
 
+def _pair_keys(n: int, endpoints: np.ndarray) -> np.ndarray:
+    """The int64 key min(u, v) * n + max(u, v) of each row (u, v) of an
+    (m, 2) endpoint array; equal keys mean parallel edges."""
+    u = endpoints[:, 0].astype(np.int64, copy=False)
+    v = endpoints[:, 1]
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
+    return Graph(n, list(zip((keys // n).tolist(), (keys % n).tolist())))
+
+
 def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     """Collapse a multigraph edge array of shape (m, 2) to a simple graph.
 
     Returns (graph, collapsed_multiedges, removed_loops).
     """
-    u = endpoints.min(axis=1)
-    v = endpoints.max(axis=1)
-    loops = int(np.count_nonzero(u == v))
-    keep = u != v
-    keys = u[keep].astype(np.int64) * n + v[keep].astype(np.int64)
+    loop = endpoints[:, 0] == endpoints[:, 1]
+    keys = _pair_keys(n, endpoints[~loop])
     uniq = np.unique(keys)
-    collapsed = int(keys.size - uniq.size)
-    g = Graph(n, list(zip((uniq // n).tolist(), (uniq % n).tolist())))
-    return g, collapsed, loops
+    return _graph_of_keys(n, uniq), int(keys.size - uniq.size), int(np.count_nonzero(loop))
+
+
+def _simple_pairing_keys(n: int, pairing: np.ndarray) -> np.ndarray | None:
+    """The sorted pair keys of a pairing without loops or parallel edges,
+    else None: the test `_simplify` passes with (collapsed, loops) == (0, 0),
+    at a fraction of the cost because no Graph is built."""
+    # Runs once per attempt on a few hundred stubs: the ndarray methods and
+    # the in-place sort skip np.any's and np.sort's per-call overhead.
+    if (pairing[:, 0] == pairing[:, 1]).any():
+        return None
+    keys = _pair_keys(n, pairing)
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return keys
 
 
 def _perm_edges(rng: np.random.Generator, n: int, rounds: int, full_cycle: bool) -> np.ndarray:
@@ -142,17 +168,21 @@ def _matching_edges(rng: np.random.Generator, n: int, rounds: int) -> np.ndarray
     return np.concatenate(parts)
 
 
+def _uniform_simple_expected_attempts(d: int) -> float:
+    """e^((d^2-1)/4): the asymptotic expected number of pairings drawn per
+    simple one, the reciprocal of the probability that a pairing is simple."""
+    try:
+        return math.exp((d * d - 1) / 4.0)
+    except OverflowError:
+        return float("inf")
+
+
 def uniform_simple_budget(d: int) -> int:
     """Rejection budget for the pairing model: 1000 * e^((d^2-1)/4) capped at 1e6.
 
-    The exponent is the asymptotic log-probability that a random pairing is
-    simple; the cap keeps failure transparent rather than unbounded.
+    The cap keeps failure transparent rather than unbounded.
     """
-    try:
-        est = 1000.0 * math.exp((d * d - 1) / 4.0)
-    except OverflowError:
-        est = float("inf")
-    return int(min(est, 1_000_000.0))
+    return int(min(1000.0 * _uniform_simple_expected_attempts(d), 1_000_000.0))
 
 
 def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleReport:
@@ -160,6 +190,9 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
 
     Output is simple with all degrees <= d, and exactly d when no loop or
     parallel edge had to be removed (always true for UNIFORM_SIMPLE).
+    UNIFORM_SIMPLE raises SampleError before drawing when the expected
+    attempt count exceeds `uniform_simple_budget(d)` (d >= 8), and after
+    drawing when the budget runs out.
     """
     if d >= n:
         raise SampleError(f"need d < n, got d={d}, n={n}")
@@ -185,13 +218,18 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
         if (n * d) % 2:
             raise SampleError(f"UNIFORM_SIMPLE needs n*d even, got n={n}, d={d}")
         budget = uniform_simple_budget(d)
+        expected = _uniform_simple_expected_attempts(d)
+        if expected > budget:
+            raise SampleError(
+                f"UNIFORM_SIMPLE: d={d} expects {expected:.3g} attempts per simple "
+                f"pairing, over the budget of {budget}"
+            )
         stubs = np.repeat(np.arange(n), d)
         for attempt in range(budget):
             rng.shuffle(stubs)
-            pairing = stubs.reshape(-1, 2)
-            g, collapsed, loops = _simplify(n, pairing)
-            if collapsed == 0 and loops == 0:
-                return SampleReport(g, attempt, 0, 0, seed)
+            keys = _simple_pairing_keys(n, stubs.reshape(-1, 2))
+            if keys is not None:
+                return SampleReport(_graph_of_keys(n, keys), attempt, 0, 0, seed)
         raise SampleError(
             f"UNIFORM_SIMPLE: no simple pairing in {budget} attempts (n={n}, d={d})"
         )

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
-from kplanar.models import (RegularModel, SampleError, chernoff_degree_tail,
+import kplanar.models
+from kplanar.graph import Graph
+from kplanar.models import (RegularModel, SampleError, _simple_pairing_keys, _simplify,
+                            _uniform_simple_expected_attempts, chernoff_degree_tail,
                             density_tail_bound, max_degree_ok, sample_gnp,
                             sample_regular, uniform_simple_budget)
 
@@ -103,6 +108,88 @@ class TestRegularModels:
     def test_uniform_simple_budget_formula(self):
         assert uniform_simple_budget(3) == int(1000 * math.exp(2))
         assert uniform_simple_budget(20) == 1_000_000
+
+
+class TestUniformSimpleRejection:
+    # SHA-256 of repr(graph.edges) and rejected_attempts per seed.  They
+    # pin the draw sequence: any rejection test must accept the same pairing
+    # after the same number of shuffles, or seeded sweeps stop being
+    # byte-identical across versions.
+    @pytest.mark.parametrize("n,d,seed,digest,rejected", [
+        (50, 4, 0, "fdbae6654cb521c2a37044aa774811786030d1aa954a7dc47a8772a3e5220645", 54),
+        (100, 4, 7, "3f35db5f5914ba6284f86ebec12f39706a0f99e7487dad98b9deaf2795aef501", 44),
+        # d = 6 is still sampled: about e^(35/4) = 6300 expected attempts.
+        (20, 6, 3, "fcfb775ebac53c301d375c68dfd1361df43dccd0ea5abad24165631135b7c77f", 3084),
+        (2000, 6, 1, "4404b4d1e78255106bc684647508c42b0e07d8b93f3d10b4fd54eb99deb680b4", 4022),
+    ])
+    def test_seeded_samples_pinned(self, n, d, seed, digest, rejected):
+        rep = sample_regular(n, d, RegularModel.UNIFORM_SIMPLE, seed)
+        assert hashlib.sha256(repr(rep.graph.edges).encode()).hexdigest() == digest
+        assert rep.rejected_attempts == rejected
+        assert set(rep.graph.degrees) == {d}
+
+    def test_one_graph_built_per_sample(self, monkeypatch):
+        built = []
+
+        def counting_graph(*args, **kwargs):
+            built.append(args[0])
+            return Graph(*args, **kwargs)
+
+        monkeypatch.setattr(kplanar.models, "Graph", counting_graph)
+        for seed in range(5):
+            built.clear()
+            rep = sample_regular(50, 4, RegularModel.UNIFORM_SIMPLE, seed)
+            assert rep.rejected_attempts > 0
+            assert built == [50]
+
+    @pytest.mark.parametrize("pairs,simple", [
+        ([(0, 1), (2, 2), (1, 3)], False),          # loop
+        ([(0, 1), (2, 3), (1, 0)], False),          # double edge, reversed
+        ([(3, 3), (0, 2), (2, 0), (1, 1)], False),  # both
+        ([(0, 1), (2, 3), (1, 2), (3, 0)], True),   # 4-cycle
+    ])
+    def test_rejection_matches_simplify_by_hand(self, pairs, simple):
+        pairing = np.array(pairs, dtype=np.int64)
+        g, collapsed, loops = _simplify(4, pairing)
+        assert ((collapsed, loops) == (0, 0)) is simple
+        keys = _simple_pairing_keys(4, pairing)
+        assert (keys is not None) is simple
+        if simple:
+            assert [(k // 4, k % 4) for k in keys.tolist()] == list(g.edges)
+
+    def test_rejection_matches_simplify_on_shuffles(self):
+        n, d = 10, 3
+        rng = np.random.default_rng(11)
+        stubs = np.repeat(np.arange(n), d)
+        outcomes = set()
+        for _ in range(300):
+            rng.shuffle(stubs)
+            pairing = stubs.reshape(-1, 2)
+            g, collapsed, loops = _simplify(n, pairing)
+            keys = _simple_pairing_keys(n, pairing)
+            simple = (collapsed, loops) == (0, 0)
+            assert (keys is not None) is simple
+            if simple:
+                assert [(k // n, k % n) for k in keys.tolist()] == list(g.edges)
+            outcomes.add(simple)
+        assert outcomes == {True, False}
+
+    def test_budget_boundary_is_d8(self):
+        assert _uniform_simple_expected_attempts(7) <= uniform_simple_budget(7)
+        assert _uniform_simple_expected_attempts(8) > uniform_simple_budget(8)
+        assert _uniform_simple_expected_attempts(8) == pytest.approx(6.9e6, rel=0.01)
+
+    @pytest.mark.parametrize("n,d", [(20, 8), (30, 12), (200, 60)])
+    def test_over_budget_degree_fails_before_drawing(self, monkeypatch, n, d):
+        def no_attempt(*args):
+            raise AssertionError("a pairing was drawn")
+
+        monkeypatch.setattr(kplanar.models, "_simple_pairing_keys", no_attempt)
+        expected = _uniform_simple_expected_attempts(d)
+        msg = (f"d={d} expects {expected:.3g} attempts per simple pairing, "
+               f"over the budget of {uniform_simple_budget(d)}")
+        with pytest.raises(SampleError, match=re.escape(msg)):
+            sample_regular(n, d, RegularModel.UNIFORM_SIMPLE, 0)
 
 
 class TestTailFormulas:
