@@ -5,8 +5,8 @@ from .certify import (Certificate, brute_min_pair_density, certify_k_planar_lb,
                       min_positive_n, mixing_density_lb, pss_lower_bound,
                       set_size_t, threshold_c0)
 from .graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
-                    from_edge_list, induced_subgraph, random_edge_partition,
-                    read_edge_list, write_edge_list)
+                    induced_subgraph, random_edge_partition, read_edge_list,
+                    read_edge_partition, write_edge_list)
 from .models import (RegularModel, SampleError, SampleReport,
                      chernoff_degree_tail, density_tail_bound, max_degree_ok,
                      sample_gnp, sample_regular)

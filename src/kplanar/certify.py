@@ -180,7 +180,7 @@ def certify_k_planar_lb(g: Graph, k: int, spectral: SpectralSummary) -> Certific
     d = g.regular_degree()
     if d is None:
         raise GraphError(
-            f"graph is not regular (degrees {sorted(set(g.degrees))}); cannot certify"
+            f"graph is not regular (degrees {sorted(set(g.degrees.tolist()))}); cannot certify"
         )
     if spectral.n != g.n:
         raise ValueError("spectral summary was computed for a different graph size")

@@ -2,7 +2,7 @@
 experiment / fit.
 
 Exit codes: 0 success, 1 configuration error, 2 sweep finished but some
-rows carry failure flags.
+rows carry failure flags, 3 an invariant was violated (a bug, see stderr).
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import sys
 
 from .certify import certify_k_planar_lb, estimate_pair_density
 from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
-from .graph import (EdgePartition, GraphError, random_edge_partition,
-                    read_edge_list, write_edge_list)
+from .graph import (GraphError, random_edge_partition, read_edge_list,
+                    read_edge_partition, write_edge_list)
 from .models import RegularModel, SampleError, sample_gnp, sample_regular
 from .partitions import exact_bisection, local_search_bisection, witness_chain
 from .seeds import derive_seed
@@ -65,17 +65,11 @@ def _cmd_bisect(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    g = read_edge_list(args.infile)
     if args.partition == "random":
+        g = read_edge_list(args.infile)
         ep = random_edge_partition(g, args.k, args.seed)
     else:
-        with open(args.partition) as fh:
-            classes = [int(line) for line in fh if line.strip()]
-        if len(classes) != g.num_edges:
-            raise GraphError(
-                f"partition file has {len(classes)} lines, graph has {g.num_edges} edges"
-            )
-        ep = EdgePartition(args.k, dict(zip(g.edges, classes)))
+        g, ep = read_edge_partition(args.infile, args.partition, args.k)
     chain = witness_chain(
         g, ep, lambda h: local_search_bisection(h, derive_seed(args.seed, 7), args.restarts)
     )
@@ -217,6 +211,9 @@ def main(argv=None) -> int:
     except (GraphError, SampleError, SpectralError, FitError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except AssertionError as exc:
+        sys.stderr.write(f"invariant violated: {exc}\n")
+        return 3
 
 
 def entry() -> None:

@@ -4,7 +4,8 @@ emission and scaling-exponent fits.
 Rows are emitted in canonical order (grid order, then trial index) and
 every float is serialized with 17 significant digits, so a repeated run
 with the same master seed produces byte-identical output.  Per-trial
-failures become flagged rows; they never abort a sweep.
+failures become flagged rows; they never abort a sweep.  An invariant
+violation (AssertionError) is a bug, not a failed trial, and does abort it.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .certify import certify_k_planar_lb
 from .graph import random_edge_partition
-from .models import RegularModel, max_degree_ok, sample_gnp, sample_regular
+from .models import (RegularModel, check_uniform_simple, max_degree_ok, sample_gnp,
+                     sample_regular)
 from .partitions import local_search_bisection, witness_chain
 from .seeds import derive_seed
 from .spectral import friedman_check, spectral_summary
@@ -60,9 +62,11 @@ class ExperimentConfig:
             if not self.p_list or self.d_list:
                 raise ValueError("gnp sweeps take --p-list and no --d-list")
         else:
-            RegularModel(self.model)  # validates the tag
             if not self.d_list or self.p_list:
                 raise ValueError("regular-model sweeps take --d-list and no --p-list")
+            if RegularModel(self.model) is RegularModel.UNIFORM_SIMPLE:  # validates the tag
+                for d in self.d_list:
+                    check_uniform_simple(d)
 
     @property
     def cells(self) -> list[tuple[int, float | int]]:
@@ -97,9 +101,6 @@ class TrialRecord:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def cell_key(self) -> tuple:
-        return (self.model, self.n, self.d, self.p, self.k)
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
@@ -143,6 +144,8 @@ def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
             )
             rec.e_ab = chain.e_ab
             rec.width_sum = chain.width_sum
+    except AssertionError:
+        raise
     except Exception as exc:  # per-row failure, sweep continues
         rec.failed = True
         rec.error = f"{type(exc).__name__}: {exc}"

@@ -1,26 +1,31 @@
 """Immutable undirected simple graphs and the set/cut/restriction queries
 used by every other module.
 
-Vertices are dense integers 0..n-1.  Edges are unordered pairs (u, v) with
-u < v and u != v.  Graphs are immutable after construction and all
+Vertices are dense integers 0..n-1.  A Graph stores only n and `edges`, a
+read-only (m, 2) int64 array of distinct pairs (u, v), u < v, sorted by
+(u, v).  Derived on first use and cached: `degrees`, the CSR arrays
+`csr = (indptr, indices)`, and `adj`, neighbour tuples kept only for the
+pure-Python loops of bisection and the connectivity search.  All
 operations here are pure, so instances are safe to share between threads.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "Graph",
     "GraphError",
     "Bipartition",
     "EdgePartition",
-    "from_edge_list",
     "cut_size",
     "induced_subgraph",
     "random_edge_partition",
     "read_edge_list",
+    "read_edge_partition",
     "write_edge_list",
 ]
 
@@ -29,64 +34,88 @@ class GraphError(ValueError):
     """Invalid graph construction or query."""
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _pair_keys(n: int, endpoints: np.ndarray) -> np.ndarray:
+    """The int64 key min(u, v) * n + max(u, v) of each row (u, v) of an
+    (m, 2) endpoint array; equal keys mean parallel edges, and sorting by
+    key sorts the normalised pairs by (u, v)."""
+    u = endpoints[:, 0].astype(np.int64, copy=False)
+    v = endpoints[:, 1]
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_degrees")
+    __slots__ = ("n", "edges", "_adj", "_degrees", "_csr")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
+        """`edges`: pairs either way round, as an iterable or an (m, 2) array.  GraphError names
+        the first bad pair in input order: a self-loop, else out of range, else a repeat."""
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else [*edges], dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise GraphError(f"edges must be pairs, got an array of shape {pairs.shape}")
+        lohi = np.sort(pairs.reshape(-1, 2), axis=1)
+        # np.unique's sort is stable, so `first` is each key's first occurrence.
+        # An out-of-range pair's key may fake a repeat, but that pair is flagged, and no later.
+        _, first = np.unique(_pair_keys(n, lohi), return_index=True)
+        bad = np.ones(len(lohi), dtype=bool)
+        bad[first] = False
+        bad |= (lohi[:, 0] == lohi[:, 1]) | (lohi[:, 0] < 0) | (lohi[:, 1] >= n)
+        if bad.any():
+            u, v = pairs.reshape(-1, 2)[bad.argmax()].tolist()
             if u == v:
                 raise GraphError(f"self-loop ({u},{v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"endpoint out of range in ({u},{v}), n={n}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
+            raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._adj: tuple[frozenset[int], ...] | None = None
-        self._degrees: tuple[int, ...] | None = None
+        self.edges: np.ndarray = _frozen(lohi[first])
+        self._adj = self._degrees = self._csr = None
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Adjacency sets, built lazily and cached."""
-        if self._adj is None:
-            nbrs: list[set[int]] = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            self._adj = tuple(frozenset(s) for s in nbrs)
-        return self._adj
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
+    def degrees(self) -> np.ndarray:
         if self._degrees is None:
-            self._degrees = tuple(len(s) for s in self.adj)
+            self._degrees = _frozen(np.bincount(self.edges.ravel(), minlength=self.n))
         return self._degrees
 
     @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): u's ascending neighbours are indices[indptr[u]:indptr[u + 1]]."""
+        if self._csr is None:
+            # Row r lists its smaller neighbours (edges (w, r), w ascending), then its larger
+            # ones (edges (r, w)): a stable sort by row keeps both runs, so each row ascends.
+            order = np.argsort(self.edges.T[::-1].ravel(), kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+            self._csr = (_frozen(indptr), _frozen(self.edges.T.ravel()[order]))
+        return self._csr
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour tuples, built lazily from the CSR and cached."""
+        if self._adj is None:
+            ptr, idx = self.csr[0].tolist(), tuple(self.csr[1].tolist())
+            self._adj = tuple(idx[ptr[u]:ptr[u + 1]] for u in range(self.n))
+        return self._adj
+
+    @property
     def max_degree(self) -> int:
-        return max(self.degrees, default=0)
+        return int(self.degrees.max(initial=0))
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else None."""
-        if self.n == 0:
-            return None
-        degs = set(self.degrees)
-        return degs.pop() if len(degs) == 1 else None
+        degs = np.unique(self.degrees)
+        return int(degs[0]) if degs.size == 1 else None
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -102,28 +131,12 @@ class Graph:
                     stack.append(v)
         return len(seen) == self.n
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.edges, other.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, int]:
-    """Build a simple graph, collapsing duplicate pairs.
-
-    Returns (graph, number of collapsed duplicates).  `Graph` rejects
-    self-loops and out-of-range endpoints.
-    """
-    edges = [_norm_edge(u, v) for u, v in pairs]
-    unique = dict.fromkeys(edges)  # first-seen order, so errors name the first bad pair
-    return Graph(n, unique), len(edges) - len(unique)
 
 
 def cut_size(g: Graph, X: Iterable[int], Y: Iterable[int]) -> int:
@@ -131,11 +144,12 @@ def cut_size(g: Graph, X: Iterable[int], Y: Iterable[int]) -> int:
 
     X and Y must be disjoint.
     """
-    xs, ys = set(X), set(Y)
-    if xs & ys:
-        raise GraphError(f"overlapping sets: {sorted(xs & ys)}")
-    adj = g.adj
-    return sum(len(adj[u] & ys) for u in xs)
+    xs, ys = np.zeros((2, g.n), dtype=bool)
+    xs[list(X)] = ys[list(Y)] = True
+    if (xs & ys).any():
+        raise GraphError(f"overlapping sets: {np.flatnonzero(xs & ys).tolist()}")
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    return int(np.count_nonzero((xs[u] & ys[v]) | (ys[u] & xs[v])))
 
 
 def induced_subgraph(g: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -149,10 +163,10 @@ def induced_subgraph(g: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
         raise GraphError("empty vertex set")
     if back[0] < 0 or back[-1] >= g.n:
         raise GraphError("vertex id out of range")
-    pos = {v: i for i, v in enumerate(back)}
-    members = set(back)
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in members and v in members]
-    return Graph(len(back), edges), back
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[back] = np.arange(len(back))
+    e = pos[g.edges]
+    return Graph(len(back), e[(e >= 0).all(axis=1)]), back
 
 
 @dataclass(frozen=True)
@@ -186,59 +200,68 @@ class Bipartition:
         return 3 * min(len(self.block1), len(self.block2)) >= m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgePartition:
-    """Assignment of every edge of a host graph to one of k classes."""
+    """Assignment of every edge of a host graph to one of k classes:
+    `classes[i]` is the class of the host's edge `edges[i]`."""
 
     k: int
-    class_of: dict[tuple[int, int], int] = field(hash=False)
+    classes: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise GraphError(f"need k >= 1, got {self.k}")
-        for e, c in self.class_of.items():
-            if not 0 <= c < self.k:
-                raise GraphError(f"class {c} of edge {e} out of range 0..{self.k - 1}")
-
-    def validate_against(self, g: Graph) -> None:
-        if set(self.class_of) != set(g.edges):
-            raise GraphError("edge partition does not cover exactly the host graph's edges")
+        classes = np.array(self.classes, dtype=np.int64)
+        if self.k < 1 or classes.ndim != 1 or ((classes < 0) | (classes >= self.k)).any():
+            raise GraphError(f"need k >= 1 and a 1-D array of classes in 0..k-1, got k={self.k}")
+        object.__setattr__(self, "classes", _frozen(classes))
 
     def class_subgraph(self, g: Graph, c: int) -> Graph:
         """Subgraph of g on all n vertices keeping only class-c edges."""
-        return Graph(g.n, [e for e, cls in self.class_of.items() if cls == c])
+        if self.classes.size != g.num_edges:
+            raise GraphError(f"{self.classes.size} edge classes for {g.num_edges} edges")
+        return Graph(g.n, g.edges[self.classes == c])
 
 
 def random_edge_partition(g: Graph, k: int, seed: int) -> EdgePartition:
-    """Uniform random class per edge; deterministic given seed."""
+    """Uniform random class per edge, in edge order; deterministic given seed."""
     rng = random.Random(seed)
-    return EdgePartition(k, {e: rng.randrange(k) for e in g.edges})
+    return EdgePartition(k, [rng.randrange(k) for _ in range(g.num_edges)])
 
 
 def write_edge_list(path: str, g: Graph) -> None:
     """Write the interchange format: 'n m' header then one 'u v' per edge."""
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.num_edges}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        np.savetxt(fh, g.edges, fmt="%d")
 
 
-def read_edge_list(path: str) -> Graph:
+def _read_pairs(path: str) -> tuple[int, list[tuple[int, ...]]]:
+    """n and the pairs of an edge-list file, in file order."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise GraphError(f"bad header in {path!r}: expected 'n m'")
         n, m = int(header[0]), int(header[1])
-        pairs = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            pairs.append((int(u), int(v)))
+        # A line without exactly two integers fails here or in Graph.
+        pairs = [tuple(map(int, line.split())) for line in fh if line.strip()]
     if len(pairs) != m:
         raise GraphError(f"{path!r}: header says {m} edges, file has {len(pairs)}")
-    g, dups = from_edge_list(n, pairs)
-    if dups:
-        raise GraphError(f"{path!r}: {dups} duplicate edges")
-    return g
+    return n, pairs
+
+
+def read_edge_list(path: str) -> Graph:
+    return Graph(*_read_pairs(path))
+
+
+def read_edge_partition(edge_path: str, class_path: str, k: int) -> tuple[Graph, EdgePartition]:
+    """The graph of an edge-list file and its k-class edge partition: the
+    i-th non-blank line of the class file holds the class of the file's
+    i-th edge, whichever way round that pair is written."""
+    n, pairs = _read_pairs(edge_path)
+    g = Graph(n, pairs)
+    with open(class_path) as fh:
+        classes = [int(line) for line in fh if line.strip()]
+    if len(classes) != len(pairs):
+        raise GraphError(f"partition file has {len(classes)} lines, graph has {len(pairs)} edges")
+    # Graph sorts the pairs by key, so the same sort aligns the classes.
+    order = np.argsort(_pair_keys(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)))
+    return g, EdgePartition(k, np.array(classes)[order])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _pair_keys
 
 __all__ = [
     "RegularModel",
@@ -26,6 +26,7 @@ __all__ = [
     "SampleError",
     "sample_gnp",
     "sample_regular",
+    "check_uniform_simple",
     "chernoff_degree_tail",
     "max_degree_ok",
     "density_tail_bound",
@@ -88,8 +89,6 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, [])
-    if p == 1.0:
-        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     rng = np.random.default_rng(seed)
     # Geometric skips over the linearized pair indices; fixed chunk schedule
     # keeps the draw sequence (hence the graph) independent of edge count.
@@ -106,20 +105,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         chunk = 4096
     idx = np.concatenate(positions)
     idx = idx[idx < total]
-    u, v = _pair_of_index(n, idx)
-    return Graph(n, list(zip(u.tolist(), v.tolist())))
-
-
-def _pair_keys(n: int, endpoints: np.ndarray) -> np.ndarray:
-    """The int64 key min(u, v) * n + max(u, v) of each row (u, v) of an
-    (m, 2) endpoint array; equal keys mean parallel edges."""
-    u = endpoints[:, 0].astype(np.int64, copy=False)
-    v = endpoints[:, 1]
-    return np.minimum(u, v) * n + np.maximum(u, v)
-
-
-def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
-    return Graph(n, list(zip((keys // n).tolist(), (keys % n).tolist())))
+    return Graph(n, np.column_stack(_pair_of_index(n, idx)))
 
 
 def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
@@ -130,7 +116,8 @@ def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     loop = endpoints[:, 0] == endpoints[:, 1]
     keys = _pair_keys(n, endpoints[~loop])
     uniq = np.unique(keys)
-    return _graph_of_keys(n, uniq), int(keys.size - uniq.size), int(np.count_nonzero(loop))
+    g = Graph(n, np.column_stack((uniq // n, uniq % n)))
+    return g, int(keys.size - uniq.size), int(np.count_nonzero(loop))
 
 
 def _simple_pairing_keys(n: int, pairing: np.ndarray) -> np.ndarray | None:
@@ -185,14 +172,26 @@ def uniform_simple_budget(d: int) -> int:
     return int(min(1000.0 * _uniform_simple_expected_attempts(d), 1_000_000.0))
 
 
+def check_uniform_simple(d: int) -> int:
+    """`uniform_simple_budget(d)`, or SampleError when UNIFORM_SIMPLE at degree
+    d expects more attempts per simple pairing than that budget (d >= 8)."""
+    budget, expected = uniform_simple_budget(d), _uniform_simple_expected_attempts(d)
+    if expected > budget:
+        raise SampleError(
+            f"UNIFORM_SIMPLE: d={d} expects {expected:.3g} attempts per simple "
+            f"pairing, over the budget of {budget}"
+        )
+    return budget
+
+
 def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleReport:
     """Sample one graph from a random d-regular model.
 
     Output is simple with all degrees <= d, and exactly d when no loop or
     parallel edge had to be removed (always true for UNIFORM_SIMPLE).
-    UNIFORM_SIMPLE raises SampleError before drawing when the expected
-    attempt count exceeds `uniform_simple_budget(d)` (d >= 8), and after
-    drawing when the budget runs out.
+    UNIFORM_SIMPLE raises SampleError before drawing when
+    `check_uniform_simple(d)` refuses d, and after drawing when the budget
+    runs out.
     """
     if d >= n:
         raise SampleError(f"need d < n, got d={d}, n={n}")
@@ -217,19 +216,12 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     if model is RegularModel.UNIFORM_SIMPLE:
         if (n * d) % 2:
             raise SampleError(f"UNIFORM_SIMPLE needs n*d even, got n={n}, d={d}")
-        budget = uniform_simple_budget(d)
-        expected = _uniform_simple_expected_attempts(d)
-        if expected > budget:
-            raise SampleError(
-                f"UNIFORM_SIMPLE: d={d} expects {expected:.3g} attempts per simple "
-                f"pairing, over the budget of {budget}"
-            )
+        budget = check_uniform_simple(d)
         stubs = np.repeat(np.arange(n), d)
         for attempt in range(budget):
             rng.shuffle(stubs)
-            keys = _simple_pairing_keys(n, stubs.reshape(-1, 2))
-            if keys is not None:
-                return SampleReport(_graph_of_keys(n, keys), attempt, 0, 0, seed)
+            if _simple_pairing_keys(n, stubs.reshape(-1, 2)) is not None:
+                return SampleReport(Graph(n, stubs.reshape(-1, 2)), attempt, 0, 0, seed)
         raise SampleError(
             f"UNIFORM_SIMPLE: no simple pairing in {budget} attempts (n={n}, d={d})"
         )

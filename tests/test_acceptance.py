@@ -49,7 +49,7 @@ def test_criterion_01_mixing_soundness():
         n, d = g.n, g.regular_degree()
         mu = spectrum_full(g).mu
         adj_mask = [0] * n
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             adj_mask[u] |= 1 << v
             adj_mask[v] |= 1 << u
         for t in range(1, n // 2 + 1):

@@ -1,10 +1,12 @@
 import json
 import pathlib
+import random
 import re
 import shlex
 
 import pytest
 
+import kplanar.experiment
 from kplanar.cli import build_parser, main
 from kplanar.graph import write_edge_list
 
@@ -90,6 +92,27 @@ def test_witness_partition_file(tmp_path, capsys):
     assert json.loads(stdout)["e_ab"] >= 0
 
 
+def test_witness_partition_file_follows_edge_file_lines(tmp_path, capsys):
+    # Line i of the class file is the class of line i of the edge file, so a
+    # shuffled edge file with flipped pairs and its matching class file give
+    # the same partition, hence the same witness, as the sorted pair.
+    g = random_graph(20, 0.4, 3)
+    rnd = random.Random(5)
+    lines = [(u, v, rnd.randrange(3)) for u, v in g.edges.tolist()]
+    shuffled = [(v, u, c) if rnd.random() < 0.5 else (u, v, c)
+                for u, v, c in rnd.sample(lines, len(lines))]
+    outputs = []
+    for name, rows in (("sorted", lines), ("shuffled", shuffled)):
+        gpath, ppath = tmp_path / f"{name}.txt", tmp_path / f"{name}.classes"
+        gpath.write_text(f"{g.n} {g.num_edges}\n" + "".join(f"{u} {v}\n" for u, v, _ in rows))
+        ppath.write_text("".join(f"{c}\n" for _, _, c in rows))
+        code, stdout, _ = run_cli(capsys, "witness", "--in", str(gpath), "--k", "3",
+                                  "--partition", str(ppath), "--seed", "1")
+        assert code == 0
+        outputs.append(json.loads(stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_witness_partition_length_mismatch(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     write_edge_list(gpath, random_graph(20, 0.4, 3))
@@ -137,6 +160,26 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
                          "--trials", "1", "--seed", "7", "--out", out)
     assert code == 2
     assert sum(1 for _ in open(out)) == 3  # header + one failed + one good row
+
+
+def test_experiment_refuses_impossible_uniform_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "experiment", "--model", "uniform", "--n-list", "100", "200",
+                           "--d-list", "4", "8", "--trials", "3", "--out", str(out))
+    assert code == 1
+    assert "d=8" in err and "attempts" in err and "budget of 1000000" in err
+    assert not out.exists()  # refused before the first trial
+
+
+def test_experiment_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
+    def broken_chain(*args, **kwargs):
+        raise AssertionError("witness-chain inequality violated: e(A,B)=9 > 8")
+
+    monkeypatch.setattr(kplanar.experiment, "witness_chain", broken_chain)
+    code, _, err = run_cli(capsys, "experiment", "--model", "matching", "--n-list", "20",
+                           "--d-list", "4", "--witness", "--out", str(tmp_path / "s.csv"))
+    assert code == 3
+    assert "invariant violated: witness-chain inequality violated" in err
 
 
 def test_missing_file_is_error(capsys):

@@ -1,11 +1,14 @@
 import math
 import random
+import re
 
 import pytest
 
+import kplanar.experiment
 from kplanar.experiment import (ExperimentConfig, FitError, fit_scaling,
                                 run_experiment, summarize_frequencies,
                                 write_records)
+from kplanar.models import SampleError
 from kplanar.seeds import derive_seed, mix64
 
 
@@ -68,6 +71,20 @@ class TestRunExperiment:
         assert len(recs) == 2
         assert recs[0].failed and "SampleError" in recs[0].error
         assert not recs[1].failed
+
+    def test_invariant_violation_aborts_sweep(self, monkeypatch):
+        def broken_chain(*args, **kwargs):
+            raise AssertionError("pigeonhole split failed: cells of sizes 1, 2 < 3")
+
+        monkeypatch.setattr(kplanar.experiment, "witness_chain", broken_chain)
+        with pytest.raises(AssertionError, match="pigeonhole split failed"):
+            run_experiment(small_cfg(with_witness=True))
+
+    @pytest.mark.parametrize("d_list", [(8,), (4, 12)])
+    def test_uniform_grid_over_budget_is_refused(self, d_list):
+        d = d_list[-1]
+        with pytest.raises(SampleError, match=re.escape(f"UNIFORM_SIMPLE: d={d} expects")):
+            ExperimentConfig(model="uniform", n_list=(100,), d_list=d_list)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,39 +1,112 @@
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kplanar.graph import (Bipartition, Graph, GraphError, cut_size, from_edge_list,
+from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                            induced_subgraph, read_edge_list, write_edge_list)
+from kplanar.models import _simplify
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
 
 def test_from_edge_list_path():
-    g, dups = from_edge_list(3, [(0, 1), (1, 2)])
-    assert dups == 0
-    assert g.degrees == (1, 2, 1)
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert tuple(g.degrees) == (1, 2, 1)
 
 
 def test_from_edge_list_k4():
-    g, _ = from_edge_list(4, list(combinations(range(4), 2)))
-    assert g.degrees == (3, 3, 3, 3)
+    g = Graph(4, list(combinations(range(4), 2)))
+    assert tuple(g.degrees) == (3, 3, 3, 3)
 
 
 def test_from_edge_list_collapses_duplicates():
-    g, dups = from_edge_list(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
-    assert dups == 2
+    # Graph rejects repeats; the union samplers' collapse is where they are counted.
+    g, dups, loops = _simplify(3, np.array([(0, 1), (1, 0), (0, 1), (1, 2)]))
+    assert (dups, loops) == (2, 0)
     assert g.num_edges == 2
 
 
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(GraphError, match="self-loop"):
-        from_edge_list(2, [(0, 0)])
+        Graph(2, [(0, 0)])
 
 
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(GraphError, match="out of range"):
-        from_edge_list(3, [(0, 3)])
+        Graph(3, [(0, 3)])
+
+
+@st.composite
+def simple_edge_lists(draw):
+    """(n, pairs): distinct non-loop pairs on 0..n-1, each either way round,
+    in random order."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_edge_lists())
+def test_derived_views_agree_with_edges(case):
+    n, pairs = case
+    g = Graph(n, pairs)
+    want = sorted((min(p), max(p)) for p in pairs)
+    assert [tuple(e) for e in g.edges.tolist()] == want
+    assert g.num_edges == len(want)
+    indptr, indices = g.csr
+    assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == 2 * len(want)
+    for u in range(n):
+        nbrs = sorted([b for a, b in want if a == u] + [a for a, b in want if b == u])
+        assert indices[indptr[u]:indptr[u + 1]].tolist() == nbrs
+        assert list(g.adj[u]) == nbrs
+        assert g.degrees[u] == len(nbrs)
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([(0, 1), (2, 2), (5, 1), (1, 0)], "self-loop (2,2)"),
+    ([(0, 1), (5, 1), (2, 2), (1, 0)], "endpoint out of range in (5,1), n=4"),
+    ([(0, 1), (1, 2), (1, 0), (3, 3)], "duplicate edge (0, 1)"),
+    ([(1, 2), (7, 7), (-1, 2)], "self-loop (7,7)"),       # loop before range
+    ([(0, 1), (-1, 5)], "endpoint out of range in (-1,5), n=4"),  # key equals (0, 1)'s
+    ([(-1, 5), (0, 1)], "endpoint out of range in (-1,5), n=4"),
+    ([(3, 0), (2, 1), (0, 3)], "duplicate edge (0, 3)"),
+])
+@pytest.mark.parametrize("form", [list, lambda p: (e for e in p), np.array],
+                         ids=["list", "generator", "ndarray"])
+def test_validation_names_first_bad_pair(pairs, message, form):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        Graph(4, form(pairs))
+
+
+def test_graph_rejects_non_pairs():
+    with pytest.raises(GraphError, match="pairs"):
+        Graph(4, [(0, 1, 2)])
+
+
+def test_edges_are_read_only(k4):
+    with pytest.raises(ValueError):
+        k4.edges[0, 0] = 3
+
+
+def test_edge_partition_rejects_bad_classes(k4):
+    for classes in ([0, 1, 2, 0, 0, 0], [0, -1, 0, 0, 0, 0], [[0, 1], [1, 0]]):
+        with pytest.raises(GraphError, match="classes in 0..k-1"):
+            EdgePartition(2, classes)
+    for classes in ([0, 1, 0], [0] * 7):
+        with pytest.raises(GraphError, match=f"{len(classes)} edge classes for 6 edges"):
+            EdgePartition(2, classes).class_subgraph(k4, 0)
+
+
+def test_class_subgraph_keeps_aligned_edges(k4):
+    ep = EdgePartition(2, [0, 1, 0, 1, 0, 1])
+    assert ep.class_subgraph(k4, 1).edges.tolist() == k4.edges[1::2].tolist()
+    assert ep.class_subgraph(k4, 0).n == 4
 
 
 def test_cut_size_k4_singletons(k4):
@@ -87,7 +160,7 @@ def test_induced_c6_even_vertices(c6):
 def test_induced_identity():
     g = random_graph(7, 0.4, 3)
     sub, back = induced_subgraph(g, range(7))
-    assert sub.edges == g.edges and back == list(range(7))
+    assert sub.edges.tolist() == g.edges.tolist() and back == list(range(7))
 
 
 def test_induced_rejects_empty(k4):
@@ -104,7 +177,7 @@ def test_induced_preserves_adjacency_exhaustive():
             sub, back = induced_subgraph(g, s)
             for i in range(sub.n):
                 for j in range(i + 1, sub.n):
-                    assert sub.has_edge(i, j) == g.has_edge(back[i], back[j])
+                    assert (j in sub.adj[i]) == (back[j] in g.adj[back[i]])
 
 
 def test_bipartition_balance():

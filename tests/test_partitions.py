@@ -20,7 +20,7 @@ def brute_bisection_width(g: Graph) -> int:
     for size in range(lo, n - lo + 1):
         for block in combinations(range(n), size):
             side = set(block)
-            cut = sum(1 for u, v in g.edges if (u in side) != (v in side))
+            cut = sum(1 for u, v in g.edges.tolist() if (u in side) != (v in side))
             best = cut if best is None else min(best, cut)
     return best
 
@@ -158,9 +158,9 @@ class TestWitnessChain:
         ep = random_edge_partition(g, 2, seed=4)
         chain = witness_chain(g, ep, lambda h: local_search_bisection(h, seed=4))
         a, b = set(chain.A), set(chain.B)
-        for u, v in g.edges:
+        for i, (u, v) in enumerate(g.edges.tolist()):
             if (u in a and v in b) or (v in a and u in b):
-                lv = chain.levels[ep.class_of[(u, v)]]
+                lv = chain.levels[ep.classes[i]]
                 s1 = set(lv.partition.block1)
                 assert (u in s1) != (v in s1)
 
