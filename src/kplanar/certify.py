@@ -114,7 +114,7 @@ class Certificate:
 
     def transcript(self) -> str:
         """Human-readable derivation of the bound."""
-        t = max(1, math.ceil(self.n * self.alpha))
+        t = set_size_t(self.n, self.k)[0]
         lines = [
             f"graph: n={self.n}, {self.d}-regular; classes k={self.k}",
             f"second-eigenvalue safe bound: mu_safe = {self.mu_safe:.6g}",
@@ -140,7 +140,7 @@ class Certificate:
 
 def _chain(n: int, d: int, k: int, mu_safe: float) -> Certificate:
     alpha = alpha_of(k)
-    t = max(1, math.ceil(n * alpha))
+    t = set_size_t(n, k)[0]
     # Round the set size up to an integer: witness sets have size >= ceil(t),
     # and the mixing bound at the larger exact fraction is still valid.
     alpha_int = t / n

@@ -15,16 +15,14 @@ from .certify import certify_k_planar_lb, estimate_pair_density
 from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
 from .graph import (GraphError, random_edge_partition, read_edge_list,
                     read_edge_partition, write_edge_list)
-from .models import RegularModel, SampleError, sample_gnp, sample_regular
+from .models import RegularModel, SampleError, SampleReport, sample_gnp, sample_regular
 from .partitions import exact_bisection, local_search_bisection, witness_chain
 from .seeds import derive_seed
-from .spectral import SpectralError, mu_bound, spectral_summary, spectrum_full
-
-_MODEL_TAGS = {m.value: m for m in RegularModel}
+from .spectral import SpectralError, spectral_summary
 
 
 def _emit(obj, args) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         json.dump(obj, sys.stdout, indent=1, default=str)
         sys.stdout.write("\n")
 
@@ -33,24 +31,19 @@ def _cmd_sample(args) -> int:
     if args.model == "gnp":
         if args.p is None:
             raise SampleError("gnp needs --p")
-        g = sample_gnp(args.n, args.p, args.seed)
-        report = {"n": g.n, "edges": g.num_edges, "seed": args.seed,
-                  "rejected_attempts": 0, "collapsed_multiedges": 0, "removed_loops": 0}
+        report = SampleReport(sample_gnp(args.n, args.p, args.seed), 0, 0, 0, args.seed)
     else:
         if args.d is None:
             raise SampleError(f"{args.model} needs --d")
-        rep = sample_regular(args.n, args.d, _MODEL_TAGS[args.model], args.seed)
-        g, report = rep.graph, rep.to_dict()
+        report = sample_regular(args.n, args.d, RegularModel(args.model), args.seed)
     if args.out:
-        write_edge_list(args.out, g)
-    _emit(report, args)
+        write_edge_list(args.out, report.graph)
+    _emit(report.to_dict(), args)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    g = read_edge_list(args.infile)
-    summary = spectrum_full(g) if args.full else mu_bound(g, tol=args.tol)
-    _emit(summary.to_dict(), args)
+    _emit(spectral_summary(read_edge_list(args.infile)).to_dict(), args)
     return 0
 
 
@@ -82,7 +75,7 @@ def _cmd_certify(args) -> int:
     if g.regular_degree() is None:
         _emit(estimate_pair_density(g, args.k), args)
         return 0
-    cert = certify_k_planar_lb(g, args.k, spectral_summary(g, tol=args.tol))
+    cert = certify_k_planar_lb(g, args.k, spectral_summary(g))
     _emit(cert.to_dict(), args)
     if not args.quiet:
         sys.stdout.write(cert.transcript() + "\n")
@@ -98,7 +91,6 @@ def _cmd_experiment(args) -> int:
         k=args.k,
         trials=args.trials,
         master_seed=args.seed,
-        tol=args.tol,
         with_witness=args.witness,
         with_timings=args.timings,
     )
@@ -110,55 +102,37 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_fit(args) -> int:
     with open(args.infile) as fh:
-        rows = list(csv.DictReader(fh))
-    parsed = []
-    for row in rows:
-        parsed.append({k: (None if v == "" else _maybe_num(v)) for k, v in row.items()})
-    exponent, r2, excluded = fit_scaling(parsed, args.x, args.y)
+        exponent, r2, excluded = fit_scaling(csv.DictReader(fh), args.x, args.y)
     _emit({"exponent": exponent, "r2": r2, "excluded": excluded}, args)
     return 0
-
-
-def _maybe_num(s: str):
-    for cast in (int, float):
-        try:
-            return cast(s)
-        except ValueError:
-            continue
-    return s
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kplanar")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--quiet", action="store_true")
+    models = ["gnp"] + sorted(m.value for m in RegularModel)
 
     p = sub.add_parser("sample", help="draw one random graph to an edge-list file")
-    p.add_argument("--model", choices=["gnp"] + sorted(_MODEL_TAGS), required=True)
+    p.add_argument("--model", choices=models, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float)
     p.add_argument("--d", type=int)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("spectrum", help="eigenvalue summary of a graph file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("bisect", help="1/3-2/3 bisection (exact or heuristic)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--restarts", type=int, default=8)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_bisect)
 
     p = sub.add_parser("witness", help="witness-chain extraction for a k-partition")
@@ -167,34 +141,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default="random",
                    help="'random' or a file with one class index per edge line")
     p.add_argument("--restarts", type=int, default=8)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("certify", help="k-planar crossing lower-bound certificate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("experiment", help="seeded sweep over a parameter grid")
-    p.add_argument("--model", choices=["gnp"] + sorted(_MODEL_TAGS), required=True)
+    p.add_argument("--model", choices=models, required=True)
     p.add_argument("--n-list", type=int, nargs="+", required=True)
     p.add_argument("--d-list", type=int, nargs="+")
     p.add_argument("--p-list", type=float, nargs="+")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--witness", action="store_true")
     p.add_argument("--timings", action="store_true")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("fit", help="log-log scaling fit over a sweep CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    common(p, seed=False)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
     return parser

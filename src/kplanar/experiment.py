@@ -49,7 +49,6 @@ class ExperimentConfig:
     k: int = 2
     trials: int = 1
     master_seed: int = 0
-    tol: float = 1e-8
     with_witness: bool = False
     with_timings: bool = False
 
@@ -127,7 +126,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
         rec.max_degree = g.max_degree
         if not is_gnp:
             d = int(param)
-            summary = spectral_summary(g, tol=cfg.tol)
+            summary = spectral_summary(g)
             rec.mu_safe = summary.mu_safe
             if g.regular_degree() == d:
                 rec.friedman_ok = friedman_check(g, d, summary=summary)
@@ -217,15 +216,16 @@ def fit_scaling(records, x_field: str, y_field: str) -> tuple[float, float, int]
     """Least-squares slope of log y against log x.
 
     Returns (exponent, r_squared, excluded) where excluded counts rows
-    dropped for nonpositive or missing y.  Needs at least 3 distinct
-    surviving x values.
+    dropped for a nonpositive or missing x or y; a value is missing when it
+    is None or "" (a blank CSV cell).  Needs at least 3 distinct surviving
+    x values.
     """
     xs, ys = [], []
     excluded = 0
     for rec in records:
         row = rec.to_dict() if isinstance(rec, TrialRecord) else rec
         x, y = row.get(x_field), row.get(y_field)
-        if x is None or y is None or float(y) <= 0 or float(x) <= 0:
+        if x in (None, "") or y in (None, "") or float(y) <= 0 or float(x) <= 0:
             excluded += 1
             continue
         xs.append(math.log(float(x)))

@@ -234,15 +234,23 @@ def write_edge_list(path: str, g: Graph) -> None:
         np.savetxt(fh, g.edges, fmt="%d")
 
 
-def _read_pairs(path: str) -> tuple[int, list[tuple[int, ...]]]:
+def _two_ints(path: str, lineno: int, line: str, form: str) -> tuple[int, int]:
+    """The two integers on an edge-list line; GraphError names the file, the
+    1-based line number and the line's text otherwise."""
+    fields = line.split()
+    if len(fields) == 2:
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    raise GraphError(f"{path}:{lineno}: expected two integers {form!r}, got {line.strip()!r}")
+
+
+def _read_pairs(path: str) -> tuple[int, list[tuple[int, int]]]:
     """n and the pairs of an edge-list file, in file order."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise GraphError(f"bad header in {path!r}: expected 'n m'")
-        n, m = int(header[0]), int(header[1])
-        # A line without exactly two integers fails here or in Graph.
-        pairs = [tuple(map(int, line.split())) for line in fh if line.strip()]
+        n, m = _two_ints(path, 1, fh.readline(), "n m")
+        pairs = [_two_ints(path, i, line, "u v") for i, line in enumerate(fh, 2) if line.strip()]
     if len(pairs) != m:
         raise GraphError(f"{path!r}: header says {m} edges, file has {len(pairs)}")
     return n, pairs

@@ -254,21 +254,20 @@ def _trim_equal(y1: tuple[int, ...], y2: tuple[int, ...]) -> tuple[tuple[int, ..
     return y1[len(y1) - t:], y2[len(y2) - t:]
 
 
-def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: list[int] | None,
+def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: tuple[int, ...],
                   bisect: BisectOracle) -> tuple[Bipartition, int]:
-    """Bisect the class-`cls` subgraph (restricted to `ground` if given);
-    returns the partition in original ids and its width."""
-    class_graph = ep.class_subgraph(g, cls)
-    if ground is None:
-        sub, back = class_graph, list(range(g.n))
-    else:
-        sub, back = induced_subgraph(class_graph, ground)
+    """Bisect the class-`cls` subgraph restricted to `ground`, a sorted
+    vertex tuple (so subgraph vertex i is ground[i]); returns the partition
+    in original ids and its width."""
+    sub = ep.class_subgraph(g, cls)
+    if len(ground) < g.n:  # else ground is all of V and sub is its own restriction
+        sub = induced_subgraph(sub, ground)[0]
     res = bisect(sub)
     if not res.partition.balanced:
         raise GraphError(f"bisection oracle violated balance on class {cls}")
     bip = Bipartition(
-        tuple(back[i] for i in res.partition.block1),
-        tuple(back[i] for i in res.partition.block2),
+        tuple(ground[i] for i in res.partition.block1),
+        tuple(ground[i] for i in res.partition.block2),
     )
     return bip, res.cut
 
@@ -276,12 +275,12 @@ def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: list[int] | Non
 def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessChain:
     """Recursive extraction of a set pair separated by every level's bisection.
 
-    Bisect the class-0 and class-1 subgraphs on all of V, split the two
-    bipartitions against each other, and trim to equal halves, giving
-    (A_2, B_2) with Y_2 = A_2 + B_2.  Then for each further class i, bisect
-    its subgraph restricted to Y_i, split against the carried (A_i, B_i)
-    partition, and trim again.  Every original edge between the final A and
-    B crosses the bisection at its own class's level, so
+    Bisect the class-0 subgraph on all of V; it is the first carried
+    partition, and Y_1 = V.  Then for each further class i, bisect its
+    subgraph restricted to Y_i, split against the carried partition, and
+    trim to equal halves (A_{i+1}, B_{i+1}), which are carried on with
+    Y_{i+1} = A_{i+1} + B_{i+1}.  Every original edge between the final A
+    and B crosses the bisection at its own class's level, so
     e(A, B) <= sum of widths for any valid oracle.
     """
     k = ep.k
@@ -291,27 +290,18 @@ def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessC
     if g.n < floor_needed:
         raise GraphError(f"need n >= 6*3^(k-2) = {floor_needed}, got n={g.n}")
 
-    levels: list[WitnessLevel] = []
-    bip1, w1 = _bisect_class(g, ep, 0, None, bisect)
-    levels.append(WitnessLevel(0, tuple(range(g.n)), bip1, w1))
-    bip2, w2 = _bisect_class(g, ep, 1, None, bisect)
-    levels.append(WitnessLevel(1, tuple(range(g.n)), bip2, w2))
-
-    y1, y2 = lemma1_split(bip1, bip2)
-    pre = (len(y1), len(y2))
-    a, b = _trim_equal(y1, y2)
-    levels[-1] = WitnessLevel(1, tuple(range(g.n)), bip2, w2, pre, (len(a), len(b)))
-    y_sets: list[tuple[int, ...]] = [tuple(sorted(a + b))]
-
-    for cls in range(2, k):
-        ground = list(y_sets[-1])
-        carried = Bipartition(a, b)
-        bip_new, w = _bisect_class(g, ep, cls, ground, bisect)
-        y1, y2 = lemma1_split(carried, bip_new)
-        pre = (len(y1), len(y2))
+    ground = tuple(range(g.n))
+    carried, w = _bisect_class(g, ep, 0, ground, bisect)
+    levels = [WitnessLevel(0, ground, carried, w)]
+    y_sets: list[tuple[int, ...]] = []
+    for cls in range(1, k):
+        bip, w = _bisect_class(g, ep, cls, ground, bisect)
+        y1, y2 = lemma1_split(carried, bip)
         a, b = _trim_equal(y1, y2)
-        levels.append(WitnessLevel(cls, tuple(ground), bip_new, w, pre, (len(a), len(b))))
-        y_sets.append(tuple(sorted(a + b)))
+        levels.append(WitnessLevel(cls, ground, bip, w, (len(y1), len(y2)), (len(a), len(b))))
+        carried = Bipartition(a, b)
+        ground = carried.ground
+        y_sets.append(ground)
 
     e_ab = cut_size(g, a, b)
     chain = WitnessChain(tuple(levels), tuple(y_sets), a, b, e_ab)

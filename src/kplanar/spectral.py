@@ -32,12 +32,12 @@ DENSE_CAP = 2000
 # spectral_summary solves densely up to this many vertices, by Lanczos above.
 DENSE_CUTOVER = 400
 MATVEC_BUDGET = 100_000
-# Below this size ARPACK has no room to work; dense is exact and instant.
-_TINY = 8
+# Lanczos residual gate, relative to max(1, max degree).
+TOL = 1e-8
 
 
 class SpectralError(RuntimeError):
-    """Eigensolver failure (cap exceeded or non-convergence)."""
+    """Eigensolver failure (cap exceeded, no room for Lanczos, or non-convergence)."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ def _disconnect_warning(g: Graph) -> str | None:
     return None
 
 
-def spectrum_full(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
+def spectrum_full(g: Graph) -> SpectralSummary:
     """All n eigenvalues by a dense symmetric solve."""
-    if g.n > cap:
-        raise SpectralError(f"n={g.n} exceeds dense cap {cap}")
+    if g.n > DENSE_CAP:
+        raise SpectralError(f"n={g.n} exceeds dense cap {DENSE_CAP}")
     if g.n == 0:
         return SpectralSummary(0, 0.0, 0.0, "dense", 0.0, ())
     a = np.zeros((g.n, g.n))
@@ -111,21 +111,18 @@ def spectrum_full(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
     )
 
 
-def mu_bound(g: Graph, tol: float = 1e-8) -> SpectralSummary:
+def mu_bound(g: Graph) -> SpectralSummary:
     """lambda_1 and mu by Lanczos iteration on the sparse adjacency operator.
 
     Converged Ritz pairs are re-checked explicitly: the reported residual is
     max ||A v - lambda v|| over the pairs that determine lambda_1 and mu, and
-    the call fails outright if that exceeds tol * max(1, max_degree).  Tiny
-    graphs route to the dense solver (exact, instant).
+    the call fails outright if that exceeds TOL * max(1, max_degree).
+    `spectral_summary` sends the graphs refused here to the dense solver.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    if g.n <= _TINY or g.num_edges == 0:
-        full = spectrum_full(g)
-        return SpectralSummary(
-            g.n, full.lambda1, full.mu, "dense", full.residual, None, full.warning
-        )
+    # mu needs a second Ritz value (k = n - 2 >= 2), and ARPACK cannot
+    # start on the zero operator of an edgeless graph.
+    if g.n < 4 or g.num_edges == 0:
+        raise SpectralError(f"Lanczos needs n >= 4 and an edge, got n={g.n}, m={g.num_edges}")
     a = adjacency_matrix(g)
     k = min(6, g.n - 2)
     dmax = g.max_degree
@@ -134,7 +131,7 @@ def mu_bound(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     maxiter = max(10, MATVEC_BUDGET // ncv)
     try:
         vals, vecs = spla.eigsh(
-            a, k=k, which="LM", tol=tol * 1e-3, v0=v0, ncv=ncv, maxiter=maxiter
+            a, k=k, which="LM", tol=TOL * 1e-3, v0=v0, ncv=ncv, maxiter=maxiter
         )
     except spla.ArpackNoConvergence as exc:
         raise SpectralError(f"Lanczos did not converge within budget: {exc}") from exc
@@ -146,14 +143,14 @@ def mu_bound(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     if lambda1 < 0:
         raise SpectralError("largest-magnitude eigenvalue came back negative")
     rest = np.delete(np.arange(k), i1)
-    i2 = int(rest[np.argmax(np.abs(vals[rest]))]) if rest.size else i1
-    mu = float(abs(vals[i2])) if rest.size else 0.0
+    i2 = int(rest[np.argmax(np.abs(vals[rest]))])
+    mu = float(abs(vals[i2]))
     resid = max(
         float(np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])) for i in {i1, i2}
     )
-    if resid > tol * max(1.0, dmax):
+    if resid > TOL * max(1.0, dmax):
         raise SpectralError(
-            f"residual {resid:.3e} exceeds tolerance {tol * max(1.0, dmax):.3e}"
+            f"residual {resid:.3e} exceeds tolerance {TOL * max(1.0, dmax):.3e}"
         )
     return SpectralSummary(
         n=g.n,
@@ -166,10 +163,12 @@ def mu_bound(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     )
 
 
-def spectral_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
-    """lambda_1 and mu of g: the dense solve up to DENSE_CUTOVER vertices,
-    Lanczos (`mu_bound` at `tol`) above."""
-    return spectrum_full(g) if g.n <= DENSE_CUTOVER else mu_bound(g, tol=tol)
+def spectral_summary(g: Graph) -> SpectralSummary:
+    """lambda_1 and mu of g: the dense solve up to DENSE_CUTOVER vertices and
+    for edgeless graphs, Lanczos (`mu_bound`) above."""
+    if g.n <= DENSE_CUTOVER or g.num_edges == 0:
+        return spectrum_full(g)
+    return mu_bound(g)
 
 
 def friedman_check(

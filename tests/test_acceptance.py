@@ -160,7 +160,7 @@ def test_criterion_04_friedman_frequency():
     hits = 0
     for seed in range(100):
         g = sample_regular(500, 4, RegularModel.MATCHING, seed).graph
-        if mu_bound(g, tol=1e-8).mu_safe <= bound:
+        if mu_bound(g).mu_safe <= bound:
             hits += 1
     assert hits >= 95
     print(f"\nACCEPTANCE 4 PASS: {hits}/100 samples within the eigenvalue bound")
@@ -271,7 +271,7 @@ def test_criterion_09_spectral_identities():
         n = rnd.randint(50, 500)
         g = random_graph(n, rnd.uniform(0.02, 0.1), rnd.randrange(1 << 30))
         dense = spectrum_full(g)
-        it = mu_bound(g, tol=tol)
+        it = mu_bound(g)
         assert abs(dense.mu - it.mu) <= tol + 1e-6, f"instance {i}: {dense.mu} vs {it.mu}"
     print("\nACCEPTANCE 9 PASS: spectral identities and dense/iterative agreement hold")
 

@@ -9,6 +9,7 @@ import pytest
 import kplanar.experiment
 from kplanar.cli import build_parser, main
 from kplanar.graph import write_edge_list
+from kplanar.models import RegularModel, sample_regular
 
 from conftest import complete_graph, cycle_graph, petersen_graph, random_graph
 
@@ -47,12 +48,78 @@ def test_sample_missing_param_is_config_error(capsys):
 def test_spectrum_full(tmp_path, capsys):
     path = str(tmp_path / "k4.txt")
     write_edge_list(path, complete_graph(4))
-    code, stdout, _ = run_cli(capsys, "spectrum", "--in", path, "--full")
+    code, stdout, _ = run_cli(capsys, "spectrum", "--in", path)
     assert code == 0
     summary = json.loads(stdout)
     assert summary["lambda1"] == pytest.approx(3.0)
     assert summary["mu"] == pytest.approx(1.0)
     assert len(summary["full_spectrum"]) == 4
+
+
+def test_spectrum_and_certify_agree_on_mu_safe(tmp_path, capsys):
+    path = str(tmp_path / "u.txt")
+    write_edge_list(path, sample_regular(300, 4, RegularModel.UNIFORM_SIMPLE, 7).graph)
+    code, stdout, _ = run_cli(capsys, "spectrum", "--in", path)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["method"] == "dense" and len(summary["full_spectrum"]) == 300
+    code, stdout, _ = run_cli(capsys, "certify", "--in", path, "--k", "2")
+    assert code == 0
+    cert, _ = json.JSONDecoder().raw_decode(stdout)  # the transcript follows the JSON
+    assert cert["mu_safe"] == summary["mu_safe"]
+
+
+def test_spectrum_names_malformed_line(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("4 3\n0 1\n1 2 3\n2 3\n")
+    code, stdout, err = run_cli(capsys, "spectrum", "--in", str(path))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {path}:3: expected two integers 'u v', got '1 2 3'\n"
+
+
+@pytest.mark.parametrize("command, removed", [
+    ("sample", ["--format", "json"]),
+    ("spectrum", ["--full"]),
+    ("spectrum", ["--tol", "1e-6"]),
+    ("spectrum", ["--seed", "1"]),
+    ("spectrum", ["--out", "s.json"]),
+    ("bisect", ["--out", "b.json"]),
+    ("bisect", ["--format", "json"]),
+    ("witness", ["--out", "w.json"]),
+    ("witness", ["--format", "json"]),
+    ("certify", ["--out", "cert.json"]),
+    ("certify", ["--format", "csv"]),
+    ("certify", ["--seed", "99"]),
+    ("certify", ["--tol", "1e-6"]),
+    ("experiment", ["--tol", "1e-6"]),
+    ("fit", ["--format", "json"]),
+    ("fit", ["--out", "f.json"]),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_removed_flags_are_rejected(tmp_path, capsys, monkeypatch, command, removed):
+    monkeypatch.chdir(tmp_path)
+    write_edge_list("g.txt", petersen_graph())
+    required = {
+        "sample": ["--model", "matching", "--n", "20", "--d", "3"],
+        "spectrum": ["--in", "g.txt"],
+        "bisect": ["--in", "g.txt"],
+        "witness": ["--in", "g.txt", "--k", "2"],
+        "certify": ["--in", "g.txt", "--k", "2"],
+        "experiment": ["--model", "matching", "--n-list", "20", "--d-list", "4"],
+        "fit": ["--in", "g.txt", "--x", "n", "--y", "edges"],
+    }[command]
+    code, stdout, err = run_cli(capsys, command, *required, *removed)
+    assert code == 1 and stdout == ""
+    assert f"unrecognized arguments: {' '.join(removed)}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]  # nothing was written
+
+
+def test_fit_counts_blank_cells_as_excluded(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    path.write_text("n,crossing_lb\n100,1\n200,4\n300,\n400,16\n,5\n")
+    code, stdout, _ = run_cli(capsys, "fit", "--in", str(path), "--x", "n", "--y", "crossing_lb")
+    assert code == 0
+    fit = json.loads(stdout)
+    assert fit["excluded"] == 2 and fit["exponent"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_bisect_exact(tmp_path, capsys):

@@ -205,6 +205,22 @@ def test_read_edge_list_rejects_bad_count(tmp_path):
         read_edge_list(str(path))
 
 
+@pytest.mark.parametrize("text, lineno, got", [
+    ("3 2\n0 1\n1 2 3\n", 3, "'1 2 3'"),
+    ("3 2\n0 1\n\n1 x\n", 4, "'1 x'"),
+    ("3 2\n2\n0 1\n", 2, "'2'"),
+    ("3 x\n0 1\n", 1, "'3 x'"),
+    ("", 1, "''"),
+], ids=["three-fields", "non-integer", "one-field", "bad-header", "empty-file"])
+def test_read_edge_list_names_malformed_line(tmp_path, text, lineno, got):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    form = "'n m'" if lineno == 1 else "'u v'"
+    with pytest.raises(GraphError) as exc:
+        read_edge_list(str(path))
+    assert str(exc.value) == f"{path}:{lineno}: expected two integers {form}, got {got}"
+
+
 def test_path_graph_text_format(tmp_path):
     path = str(tmp_path / "p.txt")
     write_edge_list(path, path_graph(3))

@@ -1,6 +1,10 @@
+import argparse
 import ast
+import inspect
 import pathlib
 import re
+
+from kplanar.cli import build_parser
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kplanar"
 
@@ -25,3 +29,18 @@ def test_readme_library_imports_resolve():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_every_cli_flag_is_read():
+    # A flag that the handler never reads is accepted and silently ignored.
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in subparsers.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            if action.option_strings and action.dest != "help":
+                if f"args.{action.dest}" not in source and not (
+                        action.dest == "quiet" and "_emit(" in source):
+                    unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []

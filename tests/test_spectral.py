@@ -34,7 +34,7 @@ def test_edgeless_spectrum():
 
 def test_dense_cap():
     with pytest.raises(SpectralError, match="cap"):
-        spectrum_full(Graph(10, []), cap=5)
+        spectrum_full(Graph(2001, []))
 
 
 def test_trace_and_energy_identities():
@@ -54,20 +54,20 @@ def test_regular_lambda1_is_degree():
 
 
 def test_mu_bound_k4(k4):
-    s = mu_bound(k4, tol=1e-6)
+    s = mu_bound(k4)
     assert abs(s.mu - 1.0) <= 1e-6
 
 
 def test_mu_bound_petersen(petersen):
     dense = spectrum_full(petersen)
-    it = mu_bound(petersen, tol=1e-8)
+    it = mu_bound(petersen)
     assert dense.mu == pytest.approx(2.0)
     assert abs(it.mu - dense.mu) <= 1e-6
 
 
 def test_mu_bound_star():
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    s = mu_bound(star, tol=1e-8)
+    s = mu_bound(star)
     assert s.lambda1 == pytest.approx(2.0, abs=1e-8)
     assert s.mu == pytest.approx(2.0, abs=1e-8)
 
@@ -75,7 +75,7 @@ def test_mu_bound_star():
 def test_mu_bound_bipartite_keeps_perron_root():
     # magnitude ties (+d, -d) must not mislabel lambda1
     g = complete_bipartite(10, 10)
-    s = mu_bound(g, tol=1e-8)
+    s = mu_bound(g)
     assert s.lambda1 == pytest.approx(10.0, abs=1e-6)
     assert s.mu == pytest.approx(10.0, abs=1e-6)
 
@@ -91,14 +91,14 @@ def test_dense_iterative_cross_validation():
     for seed in range(12):
         g = random_graph(120, 0.05, seed)
         dense = spectrum_full(g)
-        it = mu_bound(g, tol=1e-8)
+        it = mu_bound(g)
         assert abs(dense.mu - it.mu) <= 1e-8 + 1e-6
         assert abs(dense.lambda1 - it.lambda1) <= 1e-8 + 1e-6
 
 
 def test_mu_safe_is_upper_only():
     g = random_graph(80, 0.1, 3)
-    it = mu_bound(g, tol=1e-8)
+    it = mu_bound(g)
     dense = spectrum_full(g)
     assert it.mu_safe >= dense.mu - 1e-8
 
@@ -122,6 +122,19 @@ def test_friedman_check_k33_fails():
 def test_spectral_summary_cutover_at_400():
     assert spectral_summary(random_graph(400, 0.02, 1)).method == "dense"
     assert spectral_summary(random_graph(401, 0.02, 1)).method == "iterative"
+
+
+def test_spectral_summary_edgeless_is_dense():
+    s = spectral_summary(Graph(500, []))
+    assert s.method == "dense" and s.lambda1 == 0 and s.mu == 0
+
+
+@pytest.mark.parametrize("g", [complete_graph(3), Graph(3, [(0, 1), (1, 2)]), Graph(6, [])],
+                         ids=["triangle", "path3", "edgeless"])
+def test_mu_bound_refuses_graphs_without_room(g):
+    # With n < 4 ARPACK returns one Ritz value and mu would read 0.
+    with pytest.raises(SpectralError, match="n >= 4 and an edge"):
+        mu_bound(g)
 
 
 def test_friedman_check_default_uses_spectral_summary():
