@@ -5,8 +5,8 @@ Vertices are dense integers 0..n-1.  A Graph stores only n and `edges`, a
 read-only (m, 2) int64 array of distinct pairs (u, v), u < v, sorted by
 (u, v).  Derived on first use and cached: `degrees`, the CSR arrays
 `csr = (indptr, indices)`, and `adj`, neighbour tuples kept only for the
-pure-Python loops of bisection and the connectivity search.  All
-operations here are pure, so instances are safe to share between threads.
+pure-Python loops of bisection.  All operations here are pure, so
+instances are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -118,18 +118,22 @@ class Graph:
         return int(degs[0]) if degs.size == 1 else None
 
     def is_connected(self) -> bool:
+        """An iterative depth-first search from vertex 0 over the CSR arrays."""
         if self.n <= 1:
             return True
-        seen = {0}
+        ptr, idx = self.csr[0].tolist(), self.csr[1].tolist()
+        seen = [False] * self.n
+        seen[0] = True
         stack = [0]
-        adj = self.adj
+        reached = 1
         while stack:
             u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
+            for v in idx[ptr[u]:ptr[u + 1]]:
+                if not seen[v]:
+                    seen[v] = True
                     stack.append(v)
-        return len(seen) == self.n
+                    reached += 1
+        return reached == self.n
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n

@@ -69,6 +69,22 @@ def test_spectrum_and_certify_agree_on_mu_safe(tmp_path, capsys):
     assert cert["mu_safe"] == summary["mu_safe"]
 
 
+def test_spectrum_and_certify_of_large_edgeless_graph(tmp_path, capsys):
+    # 2500 vertices is past the dense cap, but an edgeless spectrum needs no solve.
+    path = tmp_path / "e.txt"
+    path.write_text("2500 0\n")
+    code, stdout, _ = run_cli(capsys, "spectrum", "--in", str(path))
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["mu"] == 0 and summary["lambda1"] == 0
+    # mu_safe is 0 up to the dense path's rounding allowance 10 * eps * n.
+    assert summary["mu_safe"] == summary["residual"] < 1e-11
+    code, stdout, _ = run_cli(capsys, "certify", "--in", str(path), "--k", "2")
+    assert code == 0
+    cert, _ = json.JSONDecoder().raw_decode(stdout)
+    assert cert["d"] == 0 and cert["mu_safe"] == summary["mu_safe"] and cert["degenerate"]
+
+
 def test_spectrum_names_malformed_line(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("4 3\n0 1\n1 2 3\n2 3\n")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                            induced_subgraph, read_edge_list, write_edge_list)
@@ -107,6 +109,29 @@ def test_class_subgraph_keeps_aligned_edges(k4):
     ep = EdgePartition(2, [0, 1, 0, 1, 0, 1])
     assert ep.class_subgraph(k4, 1).edges.tolist() == k4.edges[1::2].tolist()
     assert ep.class_subgraph(k4, 0).n == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_edge_lists().filter(lambda case: case[0] >= 1))
+def test_is_connected_matches_scipy(case):
+    n, pairs = case
+    g = Graph(n, pairs)
+    components, _ = connected_components(
+        coo_matrix((np.ones(g.num_edges), g.edges.T), shape=(n, n)), directed=False)
+    assert g.is_connected() == (components == 1)
+
+
+@pytest.mark.parametrize("g,connected", [
+    (Graph(0, []), True),
+    (Graph(1, []), True),
+    (Graph(4, [(0, 1), (1, 2)]), False),                       # vertex 3 isolated
+    (Graph(8, [(i, (i + 1) % 4) for i in range(4)]
+           + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]), False),  # two 4-cycles
+    (path_graph(100_000), True),                               # deeper than any recursion
+], ids=["n0", "n1", "isolated-vertex", "two-cycles", "path-1e5"])
+def test_is_connected_fixed_cases(g, connected):
+    assert g.is_connected() is connected
+    assert g._adj is None  # the search runs on the CSR, not on neighbour tuples
 
 
 def test_cut_size_k4_singletons(k4):

@@ -22,6 +22,18 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
+def test_adj_tuples_are_built_only_for_bisection():
+    # `Graph.adj` holds one Python tuple per vertex; the spectral and certify
+    # path must stay on the arrays, so only partitions.py may read it.
+    readers = sorted({
+        path.name
+        for path in SRC.glob("**/*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "adj"
+    })
+    assert readers == ["partitions.py"]
+
+
 def test_readme_library_imports_resolve():
     readme = SRC.parents[1] / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)

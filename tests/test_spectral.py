@@ -5,7 +5,7 @@ import pytest
 
 from kplanar.graph import Graph
 from kplanar.models import RegularModel, sample_regular
-from kplanar.spectral import (SpectralError, friedman_check, mu_bound,
+from kplanar.spectral import (TOL, SpectralError, friedman_check, mu_bound,
                               spectral_summary, spectrum_full)
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph,
@@ -34,7 +34,13 @@ def test_edgeless_spectrum():
 
 def test_dense_cap():
     with pytest.raises(SpectralError, match="cap"):
-        spectrum_full(Graph(2001, []))
+        spectrum_full(Graph(2001, [(0, 1)]))
+
+
+def test_edgeless_spectrum_past_the_cap_needs_no_solve():
+    s = spectrum_full(Graph(2500, []))
+    assert s.full_spectrum == (0.0,) * 2500 and s.lambda1 == 0 and s.mu == 0
+    assert s.residual == 10 * np.finfo(float).eps * 2500
 
 
 def test_trace_and_energy_identities():
@@ -94,6 +100,29 @@ def test_dense_iterative_cross_validation():
         it = mu_bound(g)
         assert abs(dense.mu - it.mu) <= 1e-8 + 1e-6
         assert abs(dense.lambda1 - it.lambda1) <= 1e-8 + 1e-6
+
+
+def _bipartite(a: int, b: int, p: float, seed: int) -> Graph:
+    rng = np.random.default_rng(seed)
+    u, v = np.nonzero(rng.random((a, b)) < p)
+    return Graph(a + b, np.column_stack((u, a + v)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_regular(401, 4, RegularModel.PERMUTATION, 11).graph,
+    lambda: sample_regular(900, 6, RegularModel.PERMUTATION, 12).graph,
+    lambda: sample_regular(600, 4, RegularModel.MATCHING, 13).graph,
+    lambda: sample_regular(1500, 6, RegularModel.MATCHING, 14).graph,
+    lambda: random_graph(700, 0.01, 15),
+    lambda: _bipartite(300, 400, 0.015, 16),
+], ids=["perm-d4-401", "perm-d6-900", "matching-d4-600", "matching-d6-1500",
+        "gnp-700", "bipartite-700"])
+def test_lanczos_agrees_with_dense_past_the_cutover(make):
+    g = make()
+    it, dense = mu_bound(g), spectrum_full(g)
+    assert it.residual <= TOL * max(1, g.max_degree)
+    assert abs(it.mu - dense.mu) <= it.residual + dense.residual
+    assert it.mu_safe >= dense.mu
 
 
 def test_mu_safe_is_upper_only():
