@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ValueError("empty n grid")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
+        if self.k < 2:
+            raise ValueError(f"certificates and witness chains need k >= 2, got k={self.k}")
         if self.model == "gnp":
             if not self.p_list or self.d_list:
                 raise ValueError("gnp sweeps take --p-list and no --d-list")

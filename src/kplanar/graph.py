@@ -3,10 +3,9 @@ used by every other module.
 
 Vertices are dense integers 0..n-1.  A Graph stores only n and `edges`, a
 read-only (m, 2) int64 array of distinct pairs (u, v), u < v, sorted by
-(u, v).  Derived on first use and cached: `degrees`, the CSR arrays
-`csr = (indptr, indices)`, and `adj`, neighbour tuples kept only for the
-pure-Python loops of bisection.  All operations here are pure, so
-instances are safe to share between threads.
+(u, v).  Derived on first use and cached: `degrees` and the CSR arrays
+`csr = (indptr, indices)`.  All operations here are pure, so instances are
+safe to share between threads.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_degrees", "_csr")
+    __slots__ = ("n", "edges", "_degrees", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         """`edges`: pairs either way round, as an iterable or an (m, 2) array.  GraphError names
@@ -77,7 +76,7 @@ class Graph:
             raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
         self.n = n
         self.edges: np.ndarray = _frozen(lohi[first])
-        self._adj = self._degrees = self._csr = None
+        self._degrees = self._csr = None
 
     @property
     def num_edges(self) -> int:
@@ -99,14 +98,6 @@ class Graph:
             indptr = np.concatenate(([0], np.cumsum(self.degrees)))
             self._csr = (_frozen(indptr), _frozen(self.edges.T.ravel()[order]))
         return self._csr
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending neighbour tuples, built lazily from the CSR and cached."""
-        if self._adj is None:
-            ptr, idx = self.csr[0].tolist(), tuple(self.csr[1].tolist())
-            self._adj = tuple(idx[ptr[u]:ptr[u + 1]] for u in range(self.n))
-        return self._adj
 
     @property
     def max_degree(self) -> int:

@@ -1,4 +1,4 @@
-"""Seeded random-graph samplers and Chernoff-style tail formulas.
+"""Seeded random-graph samplers and the G(n, p) max-degree check.
 
 G(n, p) uses geometric skip sampling, so cost scales with the number of
 edges rather than with C(n, 2).  PERMUTATION, FULL_CYCLE and MATCHING
@@ -27,9 +27,7 @@ __all__ = [
     "sample_gnp",
     "sample_regular",
     "check_uniform_simple",
-    "chernoff_degree_tail",
     "max_degree_ok",
-    "density_tail_bound",
 ]
 
 
@@ -229,14 +227,6 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     raise SampleError(f"unknown model {model!r}")
 
 
-def chernoff_degree_tail(n: int, p: float, delta: float) -> float:
-    """Chernoff tail (e^delta / (1+delta)^(1+delta))^((n-1)p), in log space."""
-    if delta <= 0:
-        raise ValueError(f"need delta > 0, got {delta}")
-    log_base = delta - (1.0 + delta) * math.log1p(delta)
-    return math.exp((n - 1) * p * log_base)
-
-
 def max_degree_ok(g: Graph, p: float) -> bool:
     """True iff the maximum degree is at most (1 + ln n) * n * p."""
     if p <= 0:
@@ -245,10 +235,3 @@ def max_degree_ok(g: Graph, p: float) -> bool:
         return True
     return g.max_degree <= (1.0 + math.log(g.n)) * g.n * p
 
-
-def density_tail_bound(M: int, p: float) -> float:
-    """Probability bound e^(-M p / 8) for seeing under half the expected
-    successes in M independent trials of probability p."""
-    if M < 0:
-        raise ValueError(f"need M >= 0, got {M}")
-    return math.exp(-M * p / 8.0)

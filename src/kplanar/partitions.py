@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
+import numpy as np
+
 from .graph import Bipartition, EdgePartition, Graph, GraphError, cut_size, induced_subgraph
 from .seeds import derive_seed
 
@@ -92,7 +94,10 @@ def exact_bisection(g: Graph) -> BisectionResult:
     if n < 2:
         raise GraphError("bisection needs at least 2 vertices")
     lo = _min_side(n)
-    adj_mask = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    adj_mask = [0] * n
+    for u, v in g.edges.tolist():
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
     full = (1 << n) - 1
     best_cut = None
     best_mask = 0
@@ -116,48 +121,61 @@ def exact_bisection(g: Graph) -> BisectionResult:
     return BisectionResult(Bipartition(block1, block2), best_cut, True)
 
 
-def _improve_pass(g: Graph, side: list[bool], sizes: list[int], order: list[int],
-                  lo: int, moves_left: int) -> tuple[int, int]:
+def _cut_and_gains(g: Graph, side: list[bool]) -> tuple[int, list[int]]:
+    """The cut e(side, not side) and each vertex's gain: its neighbours
+    across the cut minus its neighbours on its own side."""
+    s = np.array(side)
+    crossing = g.edges[s[g.edges[:, 0]] != s[g.edges[:, 1]]]
+    across = np.bincount(crossing.ravel(), minlength=g.n)
+    return len(crossing), (2 * across - g.degrees).tolist()
+
+
+def _move(v: int, side: list[bool], gain: list[int], csr: tuple[list[int], list[int]]) -> None:
+    """Move v across the cut: gain[v] flips sign, and each neighbour's gain
+    rises by 2 if v left its side and falls by 2 if v joined it."""
+    ptr, idx = csr
+    s = side[v]
+    side[v] = not s
+    gain[v] = -gain[v]
+    for w in idx[ptr[v]:ptr[v + 1]]:
+        gain[w] += 2 if side[w] == s else -2
+
+
+def _improve_pass(side: list[bool], gain: list[int], csr: tuple[list[int], list[int]],
+                  sizes: list[int], order: list[int], lo: int, moves_left: int) -> tuple[int, int]:
     """One first-improvement sweep of single-vertex moves.  Returns
     (total gain, moves used)."""
-    adj = g.adj
-    gain = 0
+    total = 0
     used = 0
     for v in order:
         if used >= moves_left:
             break
         s = side[v]
-        if sizes[s] - 1 < lo:
-            continue
-        same = sum(1 for w in adj[v] if side[w] == s)
-        other = len(adj[v]) - same
-        if same < other:
-            side[v] = not s
+        if gain[v] > 0 and sizes[s] - 1 >= lo:
+            total += gain[v]
             sizes[s] -= 1
             sizes[not s] += 1
-            gain += other - same
+            _move(v, side, gain, csr)
             used += 1
-    return gain, used
+    return total, used
 
 
-def _improving_swap(g: Graph, side: list[bool], order: list[int]) -> int:
+def _improving_swap(side: list[bool], gain: list[int], csr: tuple[list[int], list[int]],
+                    order: list[int]) -> int:
     """First improving swap across the cut, or 0 if none exists."""
-    adj = g.adj
+    ptr, idx = csr
     ones = [v for v in order if side[v]]
     zeros = [v for v in order if not side[v]]
     for u in ones:
-        du_same = sum(1 for w in adj[u] if side[w])
-        du_other = len(adj[u]) - du_same
-        gu = du_other - du_same
+        gu = gain[u]
         if gu <= 0:
             continue  # cheap filter: a good swap needs at least one gaining side
+        nbrs = set(idx[ptr[u]:ptr[u + 1]])
         for v in zeros:
-            dv_same = sum(1 for w in adj[v] if not side[w])
-            dv_other = len(adj[v]) - dv_same
-            delta = gu + (dv_other - dv_same) - (2 if v in adj[u] else 0)
+            delta = gu + gain[v] - (2 if v in nbrs else 0)
             if delta > 0:
-                side[u] = False
-                side[v] = True
+                _move(u, side, gain, csr)
+                _move(v, side, gain, csr)
                 return delta
     return 0
 
@@ -166,13 +184,20 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
     """Balance-constrained move/swap local search; upper bound on b(G).
 
     Best of `restarts` independent runs with derived seeds; deterministic
-    given (g, seed, restarts); ties broken by lowest restart index.
+    given (g, seed, restarts); ties broken by lowest restart index.  Each
+    run keeps gain[v] = (neighbours of v across the cut) - (neighbours on
+    v's own side), so moving v lowers the cut by gain[v]; the gains are
+    counted once from the edges, then kept exact by `_move` over v's CSR
+    slice, and the reported cut is the starting cut minus the gains taken.
     """
     n = g.n
     if n < 3:
         raise GraphError("local search needs n >= 3")
+    if restarts < 1:
+        raise GraphError(f"local search needs restarts >= 1, got {restarts}")
     lo = _min_side(n)
     move_cap = 50 * n
+    csr = tuple(a.tolist() for a in g.csr)
     best: tuple[int, list[bool]] | None = None
     for r in range(restarts):
         rng = random.Random(derive_seed(seed, r))
@@ -184,15 +209,17 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
         sizes = [n - n // 2, n // 2]
         order = list(range(n))
         rng.shuffle(order)
+        cut, gain = _cut_and_gains(g, side)
         moves = 0
         while moves < move_cap:
-            gain, used = _improve_pass(g, side, sizes, order, lo, move_cap - moves)
+            taken, used = _improve_pass(side, gain, csr, sizes, order, lo, move_cap - moves)
             moves += used
-            if gain == 0:
-                if _improving_swap(g, side, order) == 0:
+            if taken == 0:  # every move gains >= 1, so the pass moved nothing
+                taken = _improving_swap(side, gain, csr, order)
+                if taken == 0:
                     break
                 moves += 1
-        cut = sum(1 for u, v in g.edges.tolist() if side[u] != side[v])
+            cut -= taken
         if best is None or cut < best[0]:
             best = (cut, side.copy())
     cut, side = best

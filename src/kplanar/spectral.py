@@ -32,7 +32,6 @@ __all__ = [
     "mu_bound",
     "spectral_summary",
     "friedman_check",
-    "adjacency_matrix",
 ]
 
 DENSE_CAP = 2000
@@ -85,11 +84,6 @@ class SpectralSummary:
         return out
 
 
-def adjacency_matrix(g: Graph):
-    """Symmetric adjacency matrix in CSR form, built on g's own CSR arrays."""
-    return sp.csr_matrix((np.ones(2 * g.num_edges), g.csr[1], g.csr[0]), shape=(g.n, g.n))
-
-
 def _mu_of(vals_desc: np.ndarray) -> float:
     # Largest absolute value among all eigenvalues except one copy of the top.
     if vals_desc.size <= 1:
@@ -105,8 +99,9 @@ def _disconnect_warning(g: Graph) -> str | None:
 
 
 def spectrum_full(g: Graph) -> SpectralSummary:
-    """All n eigenvalues by a dense symmetric solve; an edgeless graph's
-    spectrum is n zeros, so it needs no solve and has no size cap."""
+    """All n eigenvalues by a dense symmetric solve, with a rounding allowance
+    of 10 eps n lambda1 (lambda1 >= 1 once there is an edge).  An edgeless
+    graph's spectrum is exactly n zeros: no solve, no size cap, residual 0."""
     if g.n == 0:
         return SpectralSummary(0, 0.0, 0.0, "dense", 0.0, ())
     if g.num_edges == 0:
@@ -117,7 +112,7 @@ def spectrum_full(g: Graph) -> SpectralSummary:
         a = np.zeros((g.n, g.n))
         a[g.edges[:, 0], g.edges[:, 1]] = 1.0
         vals = np.linalg.eigvalsh(a + a.T)[::-1]
-    resid = 10 * np.finfo(float).eps * g.n * max(1.0, float(abs(vals[0])))
+    resid = 10 * np.finfo(float).eps * g.n * max(min(1.0, g.num_edges), float(abs(vals[0])))
     return SpectralSummary(
         n=g.n,
         lambda1=float(vals[0]),
@@ -143,7 +138,7 @@ def mu_bound(g: Graph) -> SpectralSummary:
     # start on the zero operator of an edgeless graph.
     if g.n < 4 or g.num_edges == 0:
         raise SpectralError(f"Lanczos needs n >= 4 and an edge, got n={g.n}, m={g.num_edges}")
-    a = adjacency_matrix(g)
+    a = sp.csr_matrix((np.ones(2 * g.num_edges), g.csr[1], g.csr[0]), shape=(g.n, g.n))
     k = min(6, g.n - 2)
     dmax = g.max_degree
     v0 = np.random.default_rng(0xA5F0).standard_normal(g.n)

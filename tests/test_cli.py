@@ -77,8 +77,7 @@ def test_spectrum_and_certify_of_large_edgeless_graph(tmp_path, capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert summary["mu"] == 0 and summary["lambda1"] == 0
-    # mu_safe is 0 up to the dense path's rounding allowance 10 * eps * n.
-    assert summary["mu_safe"] == summary["residual"] < 1e-11
+    assert summary["mu_safe"] == summary["residual"] == 0
     code, stdout, _ = run_cli(capsys, "certify", "--in", str(path), "--k", "2")
     assert code == 0
     cert, _ = json.JSONDecoder().raw_decode(stdout)
@@ -152,6 +151,15 @@ def test_bisect_heuristic(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "bisect", "--in", path, "--seed", "4")
     res = json.loads(stdout)
     assert code == 0 and res["exact"] is False and res["cut"] >= 0
+
+
+@pytest.mark.parametrize("command", [["bisect"], ["witness", "--k", "2"]], ids=["bisect", "witness"])
+def test_zero_restarts_is_config_error(tmp_path, capsys, command):
+    path = str(tmp_path / "g.txt")
+    write_edge_list(path, random_graph(20, 0.3, 1))
+    code, stdout, err = run_cli(capsys, *command, "--in", path, "--restarts", "0")
+    assert code == 1 and stdout == ""
+    assert err == "error: local search needs restarts >= 1, got 0\n"
 
 
 def test_witness_random_partition(tmp_path, capsys):
@@ -251,6 +259,17 @@ def test_experiment_refuses_impossible_uniform_grid(tmp_path, capsys):
                            "--d-list", "4", "8", "--trials", "3", "--out", str(out))
     assert code == 1
     assert "d=8" in err and "attempts" in err and "budget of 1000000" in err
+    assert not out.exists()  # refused before the first trial
+
+
+@pytest.mark.parametrize("model,grid", [("uniform", "--d-list"), ("gnp", "--p-list")])
+def test_experiment_refuses_k_below_2(tmp_path, capsys, model, grid):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "experiment", "--model", model, "--n-list", "50",
+                                grid, "0.1" if model == "gnp" else "4", "--k", "1",
+                                "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: certificates and witness chains need k >= 2, got k=1\n"
     assert not out.exists()  # refused before the first trial
 
 

@@ -93,6 +93,8 @@ class TestRunExperiment:
             ExperimentConfig(model="matching", n_list=(), d_list=(3,), trials=1)
         with pytest.raises(ValueError):
             ExperimentConfig(model="nope", n_list=(10,), d_list=(3,), trials=1)
+        with pytest.raises(ValueError, match="k >= 2"):
+            ExperimentConfig(model="matching", n_list=(10,), d_list=(3,), k=1)
 
     def test_csv_deterministic(self, tmp_path):
         cfg = small_cfg(n_list=(20, 26), trials=2)

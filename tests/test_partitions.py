@@ -1,11 +1,16 @@
+import hashlib
 import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kplanar.partitions
 from kplanar.graph import (Bipartition, Graph, GraphError,
                            cut_size, random_edge_partition)
+from kplanar.models import RegularModel, sample_gnp, sample_regular
 from kplanar.partitions import (exact_bisection, lemma1_split,
                                 local_search_bisection, witness_chain)
 
@@ -99,7 +104,68 @@ class TestExactBisection:
             exact_bisection(Graph(25, []))
 
 
+def local_search_corpus():
+    """55 fixed graphs: G(n, p) on 3..60 vertices, and the class subgraphs
+    of uniform 4-regular graphs under 2- and 3-class edge partitions."""
+    for i in range(20):
+        for p in (0.1, 0.35):
+            yield sample_gnp(3 + 3 * i, p, 100 + i)
+    for n in (12, 30, 48):
+        g = sample_regular(n, 4, RegularModel.UNIFORM_SIMPLE, n).graph
+        for k in (2, 3):
+            ep = random_edge_partition(g, k, n + k)
+            for c in range(k):
+                yield ep.class_subgraph(g, c)
+
+
+def local_search_corpus_digest() -> str:
+    h = hashlib.sha256()
+    for i, g in enumerate(local_search_corpus()):
+        for restarts in range(1, 6):
+            res = local_search_bisection(g, seed=i, restarts=restarts)
+            h.update(repr((res.cut, res.partition.block1, res.partition.block2)).encode())
+    return h.hexdigest()
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(3, 16))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
 class TestLocalSearch:
+    def test_corpus_partitions_are_pinned(self):
+        # Recorded before the search kept per-vertex gains, which must not
+        # change any partition or cut.
+        assert local_search_corpus_digest() == (
+            "8c0b3c12ffa7e68c91870fefabea1791f87f3d54a4ae04456735744d5c83ed44")
+
+    def test_corpus_takes_the_swap_branch(self, monkeypatch):
+        swap = kplanar.partitions._improving_swap
+        taken = []
+
+        def counting(*args):
+            delta = swap(*args)
+            taken.append(delta)
+            return delta
+
+        monkeypatch.setattr(kplanar.partitions, "_improving_swap", counting)
+        local_search_corpus_digest()
+        assert any(taken) and not all(taken)  # swaps made, and searches ended by none
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.integers(0, 2**32), st.integers(1, 4))
+    def test_reported_cut_is_the_partitions_cut(self, g, seed, restarts):
+        res = local_search_bisection(g, seed, restarts)
+        b1, b2 = res.partition.block1, res.partition.block2
+        assert res.cut == cut_size(g, b1, b2)
+        assert res.partition.balanced and sorted(b1 + b2) == list(range(g.n))
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(GraphError, match="restarts >= 1"):
+            local_search_bisection(random_graph(10, 0.4, 1), seed=0, restarts=0)
+
     def test_upper_bounds_exact(self):
         for seed in range(15):
             g = random_graph(10, 0.4, seed)

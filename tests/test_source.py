@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import inspect
 import pathlib
 import re
@@ -22,16 +23,40 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
-def test_adj_tuples_are_built_only_for_bisection():
-    # `Graph.adj` holds one Python tuple per vertex; the spectral and certify
-    # path must stay on the arrays, so only partitions.py may read it.
-    readers = sorted({
-        path.name
-        for path in SRC.glob("**/*.py")
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "adj"
-    })
-    assert readers == ["partitions.py"]
+# Public names that nothing outside tests/ uses, each with the reason it stays public.
+UNREFERENCED_EXPORTS = {
+    "threshold_c0": "c0(k) of the paper's degree condition; acceptance criteria 6 and 7 use it",
+    "TrialRecord": "the row type that run_experiment returns",
+    "write_records": "run_experiment's one record writer, for records a caller filters",
+    "summarize_frequencies": "acceptance criterion 4 computes the Friedman rate with it",
+    "BisectionResult": "the type a bisection oracle returns, so custom oracles build it",
+    "WitnessLevel": "the type of WitnessChain.levels",
+    "WitnessChain": "the type that witness_chain returns",
+    "lemma1_split": "the pigeonhole split; acceptance criterion 3 checks it exhaustively",
+    "mu_bound": "spectral_summary's Lanczos path; tests check it against the dense solver",
+}
+
+
+def _identifiers(path: pathlib.Path) -> set[str]:
+    """Every name the file loads, imports or reads as an attribute."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return {getattr(node, fields[type(node)])
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if type(node) in fields}
+
+
+def test_every_export_is_used_outside_tests():
+    # `__init__` only re-exports, so a use must come from another module,
+    # the benchmark or the README.
+    modules = {path: _identifiers(path) for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    bench = set().union(*map(_identifiers, (SRC.parents[1] / "perfbench").glob("*.py")))
+    readme = set(re.findall(r"\w+", (SRC.parents[1] / "README.md").read_text()))
+    unused = []
+    for path in modules:
+        exported = getattr(importlib.import_module(f"kplanar.{path.stem}"), "__all__", [])
+        elsewhere = set().union(bench, readme, *(ids for p, ids in modules.items() if p != path))
+        unused += [name for name in exported if name not in elsewhere]
+    assert sorted(unused) == sorted(UNREFERENCED_EXPORTS)
 
 
 def test_readme_library_imports_resolve():

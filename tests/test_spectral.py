@@ -40,7 +40,15 @@ def test_dense_cap():
 def test_edgeless_spectrum_past_the_cap_needs_no_solve():
     s = spectrum_full(Graph(2500, []))
     assert s.full_spectrum == (0.0,) * 2500 and s.lambda1 == 0 and s.mu == 0
-    assert s.residual == 10 * np.finfo(float).eps * 2500
+    assert s.residual == 0  # an all-zero spectrum is exact
+
+
+@pytest.mark.parametrize("g", [Graph(5, [(0, 1)]), complete_graph(4), random_graph(30, 0.2, 3)],
+                         ids=["one-edge", "K4", "gnp"])
+def test_dense_residual_scales_with_lambda1(g):
+    # With an edge, lambda1 >= 1, so the allowance is 10 * eps * n * max(1, lambda1).
+    s = spectrum_full(g)
+    assert s.residual == 10 * np.finfo(float).eps * g.n * max(1.0, abs(s.lambda1)) > 0
 
 
 def test_trace_and_energy_identities():
