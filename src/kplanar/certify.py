@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .graph import Graph, GraphError, cut_size
@@ -98,19 +98,7 @@ class Certificate:
     constants_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "mu_safe": self.mu_safe,
-            "alpha": self.alpha,
-            "density_lb": self.density_lb,
-            "width_lb": self.width_lb,
-            "degree_term": self.degree_term,
-            "crossing_lb": self.crossing_lb,
-            "degenerate": self.degenerate,
-            "constants_ok": self.constants_ok,
-        }
+        return asdict(self)
 
     def transcript(self) -> str:
         """Human-readable derivation of the bound."""

@@ -29,12 +29,12 @@ def _emit(obj, args) -> None:
 
 def _cmd_sample(args) -> int:
     if args.model == "gnp":
-        if args.p is None:
-            raise SampleError("gnp needs --p")
+        if args.p is None or args.d is not None:
+            raise SampleError("gnp takes --p and no --d")
         report = SampleReport(sample_gnp(args.n, args.p, args.seed), 0, 0, 0, args.seed)
     else:
-        if args.d is None:
-            raise SampleError(f"{args.model} needs --d")
+        if args.d is None or args.p is not None:
+            raise SampleError(f"{args.model} takes --d and no --p")
         report = sample_regular(args.n, args.d, RegularModel(args.model), args.seed)
     if args.out:
         write_edge_list(args.out, report.graph)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -27,14 +27,6 @@ from .spectral import friedman_check, spectral_summary
 
 __all__ = ["ExperimentConfig", "TrialRecord", "run_experiment", "write_records",
            "fit_scaling", "summarize_frequencies", "FitError"]
-
-CSV_FIELDS = [
-    "model", "n", "d", "p", "k", "trial", "seed",
-    "edges", "max_degree", "max_degree_ok", "mu_safe", "friedman_ok",
-    "density_lb", "width_lb", "degree_term", "crossing_lb", "degenerate",
-    "e_ab", "width_sum", "failed", "error",
-]
-
 
 class FitError(RuntimeError):
     pass
@@ -101,7 +93,11 @@ class TrialRecord:
     wall_time_s: float | None = None
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
+
+
+# The canonical columns, in field order; wall time is opt-in (see write_records).
+CSV_FIELDS = [f.name for f in fields(TrialRecord) if f.name != "wall_time_s"]
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -105,26 +107,18 @@ class Graph:
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else None."""
-        degs = np.unique(self.degrees)
-        return int(degs[0]) if degs.size == 1 else None
+        degs = self.degrees
+        return int(degs[0]) if degs.size and (degs == degs[0]).all() else None
 
     def is_connected(self) -> bool:
-        """An iterative depth-first search from vertex 0 over the CSR arrays."""
         if self.n <= 1:
             return True
-        ptr, idx = self.csr[0].tolist(), self.csr[1].tolist()
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            u = stack.pop()
-            for v in idx[ptr[u]:ptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-                    reached += 1
-        return reached == self.n
+        indptr, indices = self.csr
+        # The CSR stores every edge both ways, so the strong components are the components;
+        # the directed form skips the symmetrised copy that directed=False builds.
+        a = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
+        return connected_components(a, directed=True, connection="strong",
+                                    return_labels=False) == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -137,10 +131,13 @@ class Graph:
 def cut_size(g: Graph, X: Iterable[int], Y: Iterable[int]) -> int:
     """e(X, Y): number of edges with one endpoint in X and the other in Y.
 
-    X and Y must be disjoint.
+    X and Y must be disjoint sets of vertex ids in 0..n-1.
     """
+    X, Y = list(X), list(Y)
+    if any(ids and (min(ids) < 0 or max(ids) >= g.n) for ids in (X, Y)):
+        raise GraphError(f"vertex id out of range 0..{g.n - 1}")
     xs, ys = np.zeros((2, g.n), dtype=bool)
-    xs[list(X)] = ys[list(Y)] = True
+    xs[X] = ys[Y] = True
     if (xs & ys).any():
         raise GraphError(f"overlapping sets: {np.flatnonzero(xs & ys).tolist()}")
     u, v = g.edges[:, 0], g.edges[:, 1]
@@ -241,6 +238,19 @@ def _two_ints(path: str, lineno: int, line: str, form: str) -> tuple[int, int]:
     raise GraphError(f"{path}:{lineno}: expected two integers {form!r}, got {line.strip()!r}")
 
 
+def _class_index(path: str, lineno: int, line: str, k: int) -> int:
+    """The class index on a class-file line; GraphError names the file, the
+    1-based line number and the line's text unless it is an integer in 0..k-1."""
+    try:
+        c = int(line)
+    except ValueError:
+        c = -1
+    if not 0 <= c < k:
+        raise GraphError(f"{path}:{lineno}: expected a class index in 0..k-1 for k={k}, "
+                         f"got {line.strip()!r}")
+    return c
+
+
 def _read_pairs(path: str) -> tuple[int, list[tuple[int, int]]]:
     """n and the pairs of an edge-list file, in file order."""
     with open(path) as fh:
@@ -262,7 +272,8 @@ def read_edge_partition(edge_path: str, class_path: str, k: int) -> tuple[Graph,
     n, pairs = _read_pairs(edge_path)
     g = Graph(n, pairs)
     with open(class_path) as fh:
-        classes = [int(line) for line in fh if line.strip()]
+        classes = [_class_index(class_path, i, line, k) for i, line in enumerate(fh, 1)
+                   if line.strip()]
     if len(classes) != len(pairs):
         raise GraphError(f"partition file has {len(classes)} lines, graph has {len(pairs)} edges")
     # Graph sorts the pairs by key, so the same sort aligns the classes.

@@ -113,7 +113,10 @@ def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     """
     loop = endpoints[:, 0] == endpoints[:, 1]
     keys = _pair_keys(n, endpoints[~loop])
-    uniq = np.unique(keys)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    uniq = keys[first]
     g = Graph(n, np.column_stack((uniq // n, uniq % n)))
     return g, int(keys.size - uniq.size), int(np.count_nonzero(loop))
 

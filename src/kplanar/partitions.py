@@ -142,22 +142,17 @@ def _move(v: int, side: list[bool], gain: list[int], csr: tuple[list[int], list[
 
 
 def _improve_pass(side: list[bool], gain: list[int], csr: tuple[list[int], list[int]],
-                  sizes: list[int], order: list[int], lo: int, moves_left: int) -> tuple[int, int]:
-    """One first-improvement sweep of single-vertex moves.  Returns
-    (total gain, moves used)."""
+                  sizes: list[int], order: list[int], lo: int) -> int:
+    """One first-improvement sweep of single-vertex moves; returns the total gain."""
     total = 0
-    used = 0
     for v in order:
-        if used >= moves_left:
-            break
         s = side[v]
         if gain[v] > 0 and sizes[s] - 1 >= lo:
             total += gain[v]
             sizes[s] -= 1
             sizes[not s] += 1
             _move(v, side, gain, csr)
-            used += 1
-    return total, used
+    return total
 
 
 def _improving_swap(side: list[bool], gain: list[int], csr: tuple[list[int], list[int]],
@@ -196,7 +191,6 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
     if restarts < 1:
         raise GraphError(f"local search needs restarts >= 1, got {restarts}")
     lo = _min_side(n)
-    move_cap = 50 * n
     csr = tuple(a.tolist() for a in g.csr)
     best: tuple[int, list[bool]] | None = None
     for r in range(restarts):
@@ -210,15 +204,14 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
         order = list(range(n))
         rng.shuffle(order)
         cut, gain = _cut_and_gains(g, side)
-        moves = 0
-        while moves < move_cap:
-            taken, used = _improve_pass(side, gain, csr, sizes, order, lo, move_cap - moves)
-            moves += used
+        # Every move or swap taken lowers the cut by at least 1, so the loop ends
+        # after at most `cut` (<= m) of them and needs no move budget.
+        while True:
+            taken = _improve_pass(side, gain, csr, sizes, order, lo)
             if taken == 0:  # every move gains >= 1, so the pass moved nothing
                 taken = _improving_swap(side, gain, csr, order)
                 if taken == 0:
                     break
-                moves += 1
             cut -= taken
         if best is None or cut < best[0]:
             best = (cut, side.copy())

@@ -104,6 +104,14 @@ class TestCertify:
         assert cert.width_lb == cert.density_lb / cert.k
         assert cert.degree_term == 2.0 * math.sqrt(cert.n * cert.d**2)
 
+    def test_to_dict_keys_are_pinned(self):
+        g = petersen_graph()
+        cert = certify_k_planar_lb(g, 2, spectrum_full(g))
+        assert list(cert.to_dict()) == [
+            "n", "d", "k", "mu_safe", "alpha", "density_lb", "width_lb", "degree_term",
+            "crossing_lb", "degenerate", "constants_ok"]
+        assert cert.to_dict()["d"] == 3 and cert.to_dict()["degenerate"] is cert.degenerate
+
     def test_monotone_in_mu_and_k(self):
         from kplanar.certify import _chain
         n, d = 5_000_000, 128

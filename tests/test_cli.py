@@ -45,6 +45,17 @@ def test_sample_missing_param_is_config_error(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--model", "gnp", "--p", "0.3", "--d", "4"], "error: gnp takes --p and no --d\n"),
+    (["--model", "perm", "--d", "4", "--p", "0.3"], "error: perm takes --d and no --p\n"),
+], ids=["gnp-with-d", "perm-with-p"])
+def test_sample_refuses_the_other_models_parameter(tmp_path, capsys, args, message):
+    out = tmp_path / "g.txt"
+    code, stdout, err = run_cli(capsys, "sample", "--n", "10", *args, "--out", str(out))
+    assert (code, stdout, err) == (1, "", message)
+    assert not out.exists()
+
+
 def test_spectrum_full(tmp_path, capsys):
     path = str(tmp_path / "k4.txt")
     write_edge_list(path, complete_graph(4))
@@ -212,6 +223,22 @@ def test_witness_partition_length_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "witness", "--in", gpath, "--k", "2",
                            "--partition", str(ppath))
     assert code == 1 and "lines" in err
+
+
+@pytest.mark.parametrize("bad", ["x", "5", "-1", "0 1"])
+def test_witness_partition_file_names_a_bad_class_line(tmp_path, capsys, bad):
+    g = random_graph(20, 0.4, 3)
+    gpath = str(tmp_path / "g.txt")
+    write_edge_list(gpath, g)
+    ppath = tmp_path / "classes.txt"
+    lines = ["0", "1", ""] + [str(i % 2) for i in range(g.num_edges - 2)]
+    lines[4] = bad
+    ppath.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "witness", "--in", gpath, "--k", "2",
+                           "--partition", str(ppath))
+    assert code == 1
+    assert err == (f"error: {ppath}:5: expected a class index in 0..k-1 for k=2, "
+                   f"got {bad!r}\n")
 
 
 def test_certify_regular(tmp_path, capsys):

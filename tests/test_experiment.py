@@ -103,6 +103,15 @@ class TestRunExperiment:
         run_experiment(cfg, out_path=p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_csv_header_is_pinned(self, tmp_path):
+        path = tmp_path / "h.csv"
+        run_experiment(small_cfg(trials=1), out_path=str(path))
+        assert path.read_text().splitlines()[0] == (
+            "model,n,d,p,k,trial,seed,edges,max_degree,max_degree_ok,mu_safe,friedman_ok,"
+            "density_lb,width_lb,degree_term,crossing_lb,degenerate,e_ab,width_sum,failed,error")
+        run_experiment(small_cfg(trials=1, with_timings=True), out_path=str(path))
+        assert path.read_text().splitlines()[0].endswith(",failed,error,wall_time_s")
+
     def test_json_output(self, tmp_path):
         import json
         path = str(tmp_path / "r.json")

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                            induced_subgraph, read_edge_list, write_edge_list)
@@ -31,6 +29,19 @@ def test_from_edge_list_collapses_duplicates():
     g, dups, loops = _simplify(3, np.array([(0, 1), (1, 0), (0, 1), (1, 2)]))
     assert (dups, loops) == (2, 0)
     assert g.num_edges == 2
+
+
+def test_simplify_of_loops_only():
+    g, dups, loops = _simplify(3, np.array([(0, 0), (2, 2), (2, 2)]))
+    assert (g.num_edges, dups, loops) == (0, 0, 3)
+
+
+@pytest.mark.parametrize("g,d", [
+    (Graph(0, []), None), (Graph(3, []), 0), (cycle_graph(5), 2), (complete_graph(4), 3),
+    (path_graph(4), None), (Graph(4, [(0, 1), (2, 3), (0, 2)]), None),
+], ids=["n0", "edgeless", "cycle", "k4", "path", "degrees-2-1-2-1"])
+def test_regular_degree(g, d):
+    assert g.regular_degree() == d
 
 
 def test_from_edge_list_rejects_self_loop():
@@ -110,14 +121,24 @@ def test_class_subgraph_keeps_aligned_edges(k4):
     assert ep.class_subgraph(k4, 0).n == 4
 
 
+def union_find_components(n: int, pairs) -> int:
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in pairs:
+        root[find(u)] = find(v)
+    return sum(root[v] == v for v in range(n))
+
+
 @settings(max_examples=300, deadline=None)
 @given(simple_edge_lists().filter(lambda case: case[0] >= 1))
-def test_is_connected_matches_scipy(case):
+def test_is_connected_matches_union_find(case):
     n, pairs = case
-    g = Graph(n, pairs)
-    components, _ = connected_components(
-        coo_matrix((np.ones(g.num_edges), g.edges.T), shape=(n, n)), directed=False)
-    assert g.is_connected() == (components == 1)
+    assert Graph(n, pairs).is_connected() == (union_find_components(n, pairs) == 1)
 
 
 @pytest.mark.parametrize("g,connected", [
@@ -147,6 +168,13 @@ def test_cut_size_c6_arcs(c6):
 def test_cut_size_rejects_overlap(k4):
     with pytest.raises(GraphError, match="overlap"):
         cut_size(k4, [0, 1], [1, 2])
+
+
+@pytest.mark.parametrize("X,Y", [([-1], [2]), ([0], [4]), ([0, 1], [2, 9])],
+                         ids=["negative", "n", "past-n-in-Y"])
+def test_cut_size_rejects_ids_outside_the_graph(X, Y):
+    with pytest.raises(GraphError, match=r"vertex id out of range 0\.\.3"):
+        cut_size(path_graph(4), X, Y)  # -1 used to wrap to vertex 3 and count edge (2, 3)
 
 
 def test_cut_size_symmetry_and_bound():

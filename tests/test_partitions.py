@@ -162,6 +162,21 @@ class TestLocalSearch:
         assert res.cut == cut_size(g, b1, b2)
         assert res.partition.balanced and sorted(b1 + b2) == list(range(g.n))
 
+    def test_dense_graphs_past_fifty_moves_per_vertex(self):
+        # Above average degree 100, m > 50n: the search stops because every move or
+        # swap lowers the cut, with no move budget.  Digest recorded with the old 50n cap.
+        h = hashlib.sha256()
+        for n, p in ((250, 0.6), (400, 0.5)):
+            g = sample_gnp(n, p, 1)
+            assert g.num_edges > 50 * n
+            res = local_search_bisection(g, seed=0, restarts=2)
+            b1, b2 = res.partition.block1, res.partition.block2
+            assert res.cut == cut_size(g, b1, b2)
+            assert res.partition.balanced and sorted(b1 + b2) == list(range(n))
+            h.update(repr((res.cut, b1, b2)).encode())
+        assert h.hexdigest() == (
+            "a6be7ae8449114fd05db5618c0d5cfaf8d2a432058874c7cb2c63487a04fb320")
+
     def test_rejects_zero_restarts(self):
         with pytest.raises(GraphError, match="restarts >= 1"):
             local_search_bisection(random_graph(10, 0.4, 1), seed=0, restarts=0)
