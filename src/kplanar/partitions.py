@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -29,7 +28,7 @@ __all__ = [
     "witness_chain",
 ]
 
-EXACT_CAP = 20
+EXACT_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,16 @@ def _min_side(n: int) -> int:
 
 
 def exact_bisection(g: Graph) -> BisectionResult:
-    """Exhaustive 1/3-2/3 bisection width b(G).
+    """Exhaustive 1/3-2/3 bisection width b(G), for n <= EXACT_CAP.
 
-    Enumerates every block containing vertex 0 with size between ceil(n/3)
-    and n - ceil(n/3); each bipartition is visited exactly once.
+    Scores every block containing vertex 0 at once in numpy, so each
+    bipartition is counted exactly once: a block is a uint32 mask with
+    bit v for vertex v, and its cut is the sum, over member vertices v, of
+    popcount(adj_mask[v] & complement).  Of the blocks with size between
+    ceil(n/3) and n - ceil(n/3), the one returned is the first minimum in
+    the order (size, then `combinations(range(1, n), size - 1)`): of the
+    blocks of least cut, the smallest, and of those the lexicographically
+    first as a sorted vertex tuple.
     """
     n = g.n
     if n > EXACT_CAP:
@@ -98,27 +103,29 @@ def exact_bisection(g: Graph) -> BisectionResult:
     for u, v in g.edges.tolist():
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
-    full = (1 << n) - 1
-    best_cut = None
-    best_mask = 0
-    others = list(range(1, n))
-    for size in range(lo, n - lo + 1):
-        for rest in combinations(others, size - 1):
-            mask = 1
-            for v in rest:
-                mask |= 1 << v
-            comp = full ^ mask
-            cut = 0
-            m = mask
-            while m:
-                low = m & -m
-                cut += (adj_mask[low.bit_length() - 1] & comp).bit_count()
-                m ^= low
-            if best_cut is None or cut < best_cut:
-                best_cut, best_mask = cut, mask
+    one = np.uint32(1)
+    masks = np.arange(1 << (n - 1), dtype=np.uint32) << one | one
+    sizes = np.bitwise_count(masks)
+    masks = masks[(sizes >= lo) & (sizes <= n - lo)]
+    comp = masks ^ np.uint32((1 << n) - 1)
+    cut = np.zeros(len(masks), dtype=np.uint8)  # a cut is at most (EXACT_CAP/2)^2 = 121
+    for v in range(n):
+        if adj_mask[v]:
+            member = -((masks >> np.uint32(v)) & one)  # all ones where v is in the block
+            cut += np.bitwise_count(comp & member & np.uint32(adj_mask[v]))
+    width = int(cut.min())
+    best = masks[cut == width]
+    best_sizes = np.bitwise_count(best)
+    best = best[best_sizes == best_sizes.min()]
+    # Of two blocks of one size, the earlier in combination order holds their
+    # lowest differing vertex, so it has the larger bit-reversed mask.
+    flipped = np.zeros(len(best), dtype=np.uint32)
+    for v in range(n):
+        flipped |= ((best >> np.uint32(v)) & one) << np.uint32(n - 1 - v)
+    best_mask = int(best[np.argmax(flipped)])
     block1 = tuple(v for v in range(n) if best_mask >> v & 1)
     block2 = tuple(v for v in range(n) if not best_mask >> v & 1)
-    return BisectionResult(Bipartition(block1, block2), best_cut, True)
+    return BisectionResult(Bipartition(block1, block2), width, True)
 
 
 def _cut_and_gains(g: Graph, side: list[bool]) -> tuple[int, list[int]]:
@@ -257,6 +264,8 @@ class WitnessChain:
                     "block1": list(lv.partition.block1),
                     "block2": list(lv.partition.block2),
                     "width": lv.width,
+                    "pretrim_sizes": lv.pretrim_sizes and list(lv.pretrim_sizes),
+                    "posttrim_sizes": lv.posttrim_sizes and list(lv.posttrim_sizes),
                 }
                 for lv in self.levels
             ],

@@ -30,6 +30,13 @@ def brute_bisection_width(g: Graph) -> int:
     return best
 
 
+@st.composite
+def small_graphs(draw, min_n=3, max_n=16):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
 class TestLemma1:
     def test_worked_example(self):
         bip1 = Bipartition(tuple(range(1, 7)), tuple(range(7, 13)))
@@ -100,8 +107,82 @@ class TestExactBisection:
             assert cut_size(g, res.partition.block1, res.partition.block2) == res.cut
 
     def test_cap(self):
-        with pytest.raises(GraphError, match="cap"):
-            exact_bisection(Graph(25, []))
+        g = random_graph(22, 3 / 21, 1)
+        res = exact_bisection(g)
+        assert res.partition.balanced
+        assert res.cut == cut_size(g, res.partition.block1, res.partition.block2)
+        for n in (23, 25):
+            with pytest.raises(GraphError, match="cap 22"):
+                exact_bisection(random_graph(n, 3 / (n - 1), 1))
+
+    def test_edgeless_cap_takes_the_first_smallest_block(self):
+        res = exact_bisection(Graph(22, []))
+        assert res.cut == 0 and res.partition.block1 == tuple(range(8))
+
+    def test_corpus_partitions_are_pinned(self):
+        # Recorded with the pure-Python enumeration, before blocks were
+        # scored in numpy, which must not change any cut or partition.
+        assert exact_corpus_digest() == EXACT_CORPUS_DIGEST
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(2, 10))
+    def test_matches_first_minimum_in_combination_order(self, g):
+        res = exact_bisection(g)
+        cut, block1 = first_minimum_bisection(g)
+        b1, b2 = res.partition.block1, res.partition.block2
+        assert (res.cut, b1) == (cut, block1)
+        assert b2 == tuple(v for v in range(g.n) if v not in block1)
+        assert res.cut == cut_size(g, b1, b2)
+        assert res.partition.balanced and res.exact
+
+
+def first_minimum_bisection(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The enumeration `exact_bisection` replaced: blocks holding vertex 0,
+    by size and then in `combinations` order, keeping the first minimum cut."""
+    n = g.n
+    lo = math.ceil(n / 3)
+    best = None
+    for size in range(lo, n - lo + 1):
+        for rest in combinations(range(1, n), size - 1):
+            block = (0,) + rest
+            cut = cut_size(g, block, [v for v in range(n) if v not in block])
+            if best is None or cut < best[0]:
+                best = (cut, block)
+    return best
+
+
+def exact_corpus():
+    """Fixed graphs on 2..18 vertices: G(n, p) at two densities for every n,
+    edgeless and complete graphs, graphs with vertex 0 isolated, and the
+    class subgraphs of uniform 3- and 4-regular graphs under random
+    2-class edge partitions."""
+    for n in range(2, 19):
+        yield random_graph(n, 0.3, n)
+        yield random_graph(n, 0.6, 100 + n)
+    for n in (2, 5, 12, 18):
+        yield Graph(n, [])
+    for n in (2, 5, 9, 14, 18):
+        yield complete_graph(n)
+    for n in (6, 11, 17):
+        h = random_graph(n - 1, 0.4, 200 + n)
+        yield Graph(n, h.edges + 1)
+    for n in (12, 14, 16, 18):
+        for d in (3, 4):
+            g = sample_regular(n, d, RegularModel.UNIFORM_SIMPLE, 300 + n + d).graph
+            ep = random_edge_partition(g, 2, n * d)
+            for c in range(2):
+                yield ep.class_subgraph(g, c)
+
+
+def exact_corpus_digest() -> str:
+    h = hashlib.sha256()
+    for g in exact_corpus():
+        res = exact_bisection(g)
+        h.update(repr((res.cut, res.partition.block1, res.partition.block2)).encode())
+    return h.hexdigest()
+
+
+EXACT_CORPUS_DIGEST = "55823d7b68b50d28c1c4bffc61e9be8bcb6bc0affeb071e4d1977b312cb15c97"
 
 
 def local_search_corpus():
@@ -125,13 +206,6 @@ def local_search_corpus_digest() -> str:
             res = local_search_bisection(g, seed=i, restarts=restarts)
             h.update(repr((res.cut, res.partition.block1, res.partition.block2)).encode())
     return h.hexdigest()
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(3, 16))
-    pairs = list(combinations(range(n), 2))
-    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
 
 
 class TestLocalSearch:
@@ -244,6 +318,19 @@ class TestWitnessChain:
                 lv = chain.levels[ep.classes[i]]
                 s1 = set(lv.partition.block1)
                 assert (u in s1) != (v in s1)
+
+    def test_to_dict_reports_trim_sizes(self):
+        g = random_graph(54, 0.15, 9)
+        ep = random_edge_partition(g, 3, seed=9)
+        chain = witness_chain(g, ep, lambda h: local_search_bisection(h, seed=9, restarts=2))
+        levels = chain.to_dict()["levels"]
+        assert levels[0]["pretrim_sizes"] is None and levels[0]["posttrim_sizes"] is None
+        y1, y2 = lemma1_split(chain.levels[0].partition, chain.levels[1].partition)
+        assert levels[1]["pretrim_sizes"] == [len(y1), len(y2)]
+        for level, y in zip(levels[1:], chain.y_sets):
+            t = min(level["pretrim_sizes"])
+            assert level["posttrim_sizes"] == [t, t] and 2 * t == len(y)
+        assert levels[-1]["posttrim_sizes"] == [len(chain.A), len(chain.B)]
 
     def test_deterministic(self):
         g = random_graph(24, 0.3, 8)
