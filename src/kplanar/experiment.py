@@ -116,7 +116,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
     try:
         if is_gnp:
             g = sample_gnp(n, float(param), seed)
-            rec.max_degree_ok = max_degree_ok(g, float(param)) if param > 0 else True
+            rec.max_degree_ok = max_degree_ok(g, float(param))
         else:
             report = sample_regular(n, int(param), RegularModel(cfg.model), seed)
             g = report.graph
@@ -181,16 +181,14 @@ def _csv_row(rec: TrialRecord, cols: list[str]) -> str:
     return ",".join(_fmt_value(d[c]).replace(",", ";") for c in cols)
 
 
-def _jsonable(d: dict) -> dict:
-    return {k: v for k, v in d.items() if k != "wall_time_s" or v is not None}
-
-
 def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
                   with_timings: bool = False) -> list[TrialRecord]:
     """Write records to path as CSV or JSON and return them as a list.
 
-    CSV is flushed after the header and after every row, so when `records`
-    is computed lazily an interrupted run leaves its finished rows on disk.
+    Both formats carry the same columns: the canonical ones, plus
+    `wall_time_s` when with_timings is set.  CSV is flushed after the header
+    and after every row, so when `records` is computed lazily an interrupted
+    run leaves its finished rows on disk.
     """
     # Wall time is opt-in: it would break byte-identical reruns.
     cols = CSV_FIELDS + (["wall_time_s"] if with_timings else [])
@@ -205,7 +203,7 @@ def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
                 fh.write(_csv_row(rec, cols) + "\n")
                 fh.flush()
         if fmt == "json":
-            json.dump([_jsonable(r.to_dict()) for r in written], fh, indent=1)
+            json.dump([{c: r.to_dict()[c] for c in cols} for r in written], fh, indent=1)
             fh.write("\n")
     return written
 

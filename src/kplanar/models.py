@@ -1,14 +1,16 @@
 """Seeded random-graph samplers and the G(n, p) max-degree check.
 
 G(n, p) uses geometric skip sampling, so cost scales with the number of
-edges rather than with C(n, 2).  PERMUTATION, FULL_CYCLE and MATCHING
-natively produce multigraphs; their loops are removed and parallel edges
+edges rather than with C(n, 2).  PERMUTATION, FULL_CYCLE and MATCHING are
+one construction, the union of d/2 or d seeded permutations, drawn by one
+builder into one array; their loops are removed and parallel edges
 collapsed, with both counts reported.  UNIFORM_SIMPLE instead rejects every
 pairing with a loop or a parallel edge, tests each in numpy and builds a
 Graph only for the accepted one, reports the rejections as
 `rejected_attempts`, and refuses at call time any d (d >= 8) whose expected
 attempt count exceeds its budget.  Every sampler returns a simple graph and
-is a pure function of (parameters, seed).
+is a pure function of (parameters, seed); d = 0 gives the edgeless graph in
+every regular model.
 """
 from __future__ import annotations
 
@@ -29,6 +31,9 @@ __all__ = [
     "check_uniform_simple",
     "max_degree_ok",
 ]
+
+
+_MAX_ATTEMPTS = 1_000_000
 
 
 class SampleError(RuntimeError):
@@ -112,7 +117,7 @@ def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     Returns (graph, collapsed_multiedges, removed_loops).
     """
     loop = endpoints[:, 0] == endpoints[:, 1]
-    keys = _pair_keys(n, endpoints[~loop])
+    keys = _pair_keys(n, endpoints)[~loop]
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -136,60 +141,50 @@ def _simple_pairing_keys(n: int, pairing: np.ndarray) -> np.ndarray | None:
     return keys
 
 
-def _perm_edges(rng: np.random.Generator, n: int, rounds: int, full_cycle: bool) -> np.ndarray:
-    parts = []
-    for _ in range(rounds):
+def _union_edges(rng: np.random.Generator, n: int, d: int, model: RegularModel) -> np.ndarray:
+    """The raw (m, 2) rows of a union model, loops and parallel edges kept:
+    block r holds the pairs that the r-th `rng.permutation(n)` defines."""
+    if model is RegularModel.MATCHING:
+        out = np.empty((d, n // 2, 2), dtype=np.int64)
+    else:
+        out = np.empty((d // 2, n, 2), dtype=np.int64)
+    for block in out:
         perm = rng.permutation(n)
-        if full_cycle:
+        if model is RegularModel.PERMUTATION:
+            block[:, 0] = np.arange(n)
+            block[:, 1] = perm
+        elif model is RegularModel.FULL_CYCLE:
             # perm read as a cyclic order gives a uniform n-cycle.
-            parts.append(np.stack([perm, np.roll(perm, -1)], axis=1))
+            block[:, 0] = perm
+            block[:, 1] = np.roll(perm, -1)
         else:
-            parts.append(np.stack([np.arange(n), perm], axis=1))
-    return np.concatenate(parts)
-
-
-def _matching_edges(rng: np.random.Generator, n: int, rounds: int) -> np.ndarray:
-    parts = []
-    for _ in range(rounds):
-        perm = rng.permutation(n)
-        parts.append(perm.reshape(-1, 2))
-    return np.concatenate(parts)
-
-
-def _uniform_simple_expected_attempts(d: int) -> float:
-    """e^((d^2-1)/4): the asymptotic expected number of pairings drawn per
-    simple one, the reciprocal of the probability that a pairing is simple."""
-    try:
-        return math.exp((d * d - 1) / 4.0)
-    except OverflowError:
-        return float("inf")
-
-
-def uniform_simple_budget(d: int) -> int:
-    """Rejection budget for the pairing model: 1000 * e^((d^2-1)/4) capped at 1e6.
-
-    The cap keeps failure transparent rather than unbounded.
-    """
-    return int(min(1000.0 * _uniform_simple_expected_attempts(d), 1_000_000.0))
+            block[:] = perm.reshape(-1, 2)
+    return out.reshape(-1, 2)
 
 
 def check_uniform_simple(d: int) -> int:
-    """`uniform_simple_budget(d)`, or SampleError when UNIFORM_SIMPLE at degree
-    d expects more attempts per simple pairing than that budget (d >= 8)."""
-    budget, expected = uniform_simple_budget(d), _uniform_simple_expected_attempts(d)
-    if expected > budget:
+    """The rejection budget of UNIFORM_SIMPLE at degree d, min(1000 * E, 1e6)
+    attempts, where E = e^((d^2-1)/4) is the asymptotic expected number of
+    pairings drawn per simple one.  SampleError when E itself exceeds 1e6
+    (d >= 8): the cap keeps failure transparent rather than unbounded."""
+    try:
+        expected = math.exp((d * d - 1) / 4.0)
+    except OverflowError:
+        expected = float("inf")
+    if expected > _MAX_ATTEMPTS:
         raise SampleError(
             f"UNIFORM_SIMPLE: d={d} expects {expected:.3g} attempts per simple "
-            f"pairing, over the budget of {budget}"
+            f"pairing, over the budget of {_MAX_ATTEMPTS}"
         )
-    return budget
+    return int(min(1000.0 * expected, _MAX_ATTEMPTS))
 
 
 def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleReport:
     """Sample one graph from a random d-regular model.
 
     Output is simple with all degrees <= d, and exactly d when no loop or
-    parallel edge had to be removed (always true for UNIFORM_SIMPLE).
+    parallel edge had to be removed (always true for UNIFORM_SIMPLE); d = 0
+    gives the edgeless graph in every model.
     UNIFORM_SIMPLE raises SampleError before drawing when
     `check_uniform_simple(d)` refuses d, and after drawing when the budget
     runs out.
@@ -198,21 +193,9 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
         raise SampleError(f"need d < n, got d={d}, n={n}")
     if d < 0:
         raise SampleError(f"negative degree {d}")
+    if not isinstance(model, RegularModel):
+        raise SampleError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
-
-    if model in (RegularModel.PERMUTATION, RegularModel.FULL_CYCLE):
-        if d % 2:
-            raise SampleError(f"{model.name} requires even d, got {d}")
-        raw = _perm_edges(rng, n, d // 2, model is RegularModel.FULL_CYCLE)
-        g, collapsed, loops = _simplify(n, raw)
-        return SampleReport(g, 0, collapsed, loops, seed)
-
-    if model is RegularModel.MATCHING:
-        if n % 2:
-            raise SampleError(f"MATCHING requires even n, got {n}")
-        raw = _matching_edges(rng, n, d)
-        g, collapsed, loops = _simplify(n, raw)
-        return SampleReport(g, 0, collapsed, loops, seed)
 
     if model is RegularModel.UNIFORM_SIMPLE:
         if (n * d) % 2:
@@ -227,13 +210,19 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
             f"UNIFORM_SIMPLE: no simple pairing in {budget} attempts (n={n}, d={d})"
         )
 
-    raise SampleError(f"unknown model {model!r}")
+    if model is RegularModel.MATCHING:
+        if n % 2:
+            raise SampleError(f"MATCHING requires even n, got {n}")
+    elif d % 2:
+        raise SampleError(f"{model.name} requires even d, got {d}")
+    g, collapsed, loops = _simplify(n, _union_edges(rng, n, d, model))
+    return SampleReport(g, 0, collapsed, loops, seed)
 
 
 def max_degree_ok(g: Graph, p: float) -> bool:
     """True iff the maximum degree is at most (1 + ln n) * n * p."""
-    if p <= 0:
-        raise ValueError(f"need p > 0, got {p}")
+    if p < 0:
+        raise ValueError(f"need p >= 0, got {p}")
     if g.n == 0:
         return True
     return g.max_degree <= (1.0 + math.log(g.n)) * g.n * p

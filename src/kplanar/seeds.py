@@ -4,6 +4,8 @@ The finalizer is the splitmix64 avalanche function (Steele, Lea, Flood 2014),
 so per-trial seeds are a fixed, documented function of (master, index).
 """
 
+__all__ = ["mix64", "derive_seed"]
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

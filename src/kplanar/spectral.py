@@ -195,6 +195,8 @@ def friedman_check(
     Uses the safe upper estimate mu + residual, so a True answer is robust
     to eigensolver error.
     """
+    if d < 1:
+        raise ValueError(f"friedman_check needs d >= 1 (got d={d})")
     if g.regular_degree() != d:
         raise ValueError(f"graph is not {d}-regular (degrees {sorted(set(g.degrees.tolist()))})")
     if summary is None:

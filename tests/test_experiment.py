@@ -72,6 +72,13 @@ class TestRunExperiment:
         assert recs[0].failed and "SampleError" in recs[0].error
         assert not recs[1].failed
 
+    @pytest.mark.parametrize("model", ["perm", "cycle", "matching", "uniform"])
+    def test_degree_zero_row_names_the_friedman_requirement(self, model):
+        # d = 0 samples the edgeless graph; the Friedman check needs d >= 1.
+        rec, = run_experiment(small_cfg(model=model, n_list=(10,), d_list=(0,), trials=1))
+        assert rec.edges == 0 and rec.failed
+        assert rec.error == "ValueError: friedman_check needs d >= 1 (got d=0)"
+
     def test_invariant_violation_aborts_sweep(self, monkeypatch):
         def broken_chain(*args, **kwargs):
             raise AssertionError("pigeonhole split failed: cells of sizes 1, 2 < 3")
@@ -118,6 +125,17 @@ class TestRunExperiment:
         run_experiment(small_cfg(), out_path=path, fmt="json")
         rows = json.load(open(path))
         assert len(rows) == 2 and rows[0]["model"] == "matching"
+
+    @pytest.mark.parametrize("with_timings", [False, True])
+    def test_json_keys_are_the_csv_columns(self, tmp_path, with_timings):
+        import json
+        recs = run_experiment(small_cfg(with_timings=True))
+        csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
+        write_records(recs, csv_path, "csv", with_timings)
+        write_records(recs, json_path, "json", with_timings)
+        header = open(csv_path).readline().strip().split(",")
+        assert all(list(row) == header for row in json.load(open(json_path)))
+        assert ("wall_time_s" in header) is with_timings
 
 
 class TestFitScaling:

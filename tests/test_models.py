@@ -8,9 +8,8 @@ import pytest
 import kplanar.models
 from kplanar.graph import Graph
 from kplanar.models import (RegularModel, SampleError, _simple_pairing_keys, _simplify,
-                            _uniform_simple_expected_attempts, check_uniform_simple,
-                            max_degree_ok, sample_gnp, sample_regular,
-                            uniform_simple_budget)
+                            check_uniform_simple, max_degree_ok, sample_gnp,
+                            sample_regular)
 
 from conftest import complete_graph
 
@@ -99,6 +98,33 @@ class TestRegularModels:
         assert rep.collapsed_multiedges == 0 and rep.removed_loops == 0
         assert set(rep.graph.degrees) == {4}
 
+    @pytest.mark.parametrize("model", list(RegularModel))
+    def test_degree_zero_is_edgeless(self, model):
+        rep = sample_regular(10, 0, model, 3)
+        assert rep.graph == Graph(10, [])
+        assert (rep.rejected_attempts, rep.collapsed_multiedges, rep.removed_loops) == (0, 0, 0)
+
+    def test_union_corpus_pinned(self):
+        # SHA-256 over edges.tobytes() and the sorted to_dict() items of every
+        # valid (model, n, d, seed) below.  It pins the draw order of the union
+        # builder: any rewrite must give these graphs and counts, or seeded
+        # union-model sweeps stop being byte-identical across versions.
+        h = hashlib.sha256()
+        count = 0
+        for model in (RegularModel.PERMUTATION, RegularModel.FULL_CYCLE,
+                      RegularModel.MATCHING):
+            for n in (4, 5, 10, 31, 60, 200, 1000):
+                for d in (1, 2, 3, 4, 6, 10):
+                    if d >= n or (n % 2 if model is RegularModel.MATCHING else d % 2):
+                        continue
+                    for seed in range(5):
+                        rep = sample_regular(n, d, model, seed)
+                        h.update(rep.graph.edges.tobytes())
+                        h.update(repr(sorted(rep.to_dict().items())).encode())
+                        count += 1
+        assert count == 350
+        assert h.hexdigest() == "a2ac30ee8d7962b0f8013e6ae91c33fb7f3ef29f617f24eb5e19cd4a61a53ec8"
+
     def test_uniform_simple_always_regular(self):
         for seed in range(25):
             rep = sample_regular(14, 3, RegularModel.UNIFORM_SIMPLE, seed)
@@ -106,8 +132,9 @@ class TestRegularModels:
             assert rep.collapsed_multiedges == 0 and rep.removed_loops == 0
 
     def test_uniform_simple_budget_formula(self):
-        assert uniform_simple_budget(3) == int(1000 * math.exp(2))
-        assert uniform_simple_budget(20) == 1_000_000
+        assert check_uniform_simple(3) == int(1000 * math.exp(2))
+        # 1000 * e^(35/4) is over the cap, which binds.
+        assert check_uniform_simple(6) == 1_000_000
 
 
 class TestUniformSimpleRejection:
@@ -176,11 +203,11 @@ class TestUniformSimpleRejection:
         assert outcomes == {True, False}
 
     def test_budget_boundary_is_d8(self):
-        assert _uniform_simple_expected_attempts(7) <= uniform_simple_budget(7)
-        assert _uniform_simple_expected_attempts(8) > uniform_simple_budget(8)
-        assert _uniform_simple_expected_attempts(8) == pytest.approx(6.9e6, rel=0.01)
-        assert check_uniform_simple(7) == uniform_simple_budget(7)
-        with pytest.raises(SampleError, match="d=8"):
+        # e^((8^2-1)/4) is the first expectation over the 1e6 cap.
+        assert check_uniform_simple(7) == 1_000_000
+        msg = ("UNIFORM_SIMPLE: d=8 expects 6.92e+06 attempts per simple pairing, "
+               "over the budget of 1000000")
+        with pytest.raises(SampleError, match=re.escape(msg)):
             check_uniform_simple(8)
 
     @pytest.mark.parametrize("n,d", [(20, 8), (30, 12), (200, 60)])
@@ -189,9 +216,9 @@ class TestUniformSimpleRejection:
             raise AssertionError("a pairing was drawn")
 
         monkeypatch.setattr(kplanar.models, "_simple_pairing_keys", no_attempt)
-        expected = _uniform_simple_expected_attempts(d)
-        msg = (f"d={d} expects {expected:.3g} attempts per simple pairing, "
-               f"over the budget of {uniform_simple_budget(d)}")
+        expected = {8: "6.92e+06", 12: "3.36e+15", 60: "inf"}[d]
+        msg = (f"d={d} expects {expected} attempts per simple pairing, "
+               "over the budget of 1000000")
         with pytest.raises(SampleError, match=re.escape(msg)):
             sample_regular(n, d, RegularModel.UNIFORM_SIMPLE, 0)
 
@@ -203,4 +230,11 @@ class TestTailFormulas:
         assert not max_degree_ok(complete_graph(5), 0.01)
         star = Graph(10, [(0, i) for i in range(1, 10)])
         assert max_degree_ok(star, 1.0)
+
+    def test_max_degree_ok_at_p_zero(self):
+        # The bound (1 + ln n) * n * 0 = 0 is G(n, 0)'s max degree.
+        assert max_degree_ok(sample_gnp(10, 0.0, 1), 0.0)
+        assert not max_degree_ok(Graph(10, [(0, 1)]), 0.0)
+        with pytest.raises(ValueError, match="p >= 0"):
+            max_degree_ok(Graph(10, []), -0.1)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,11 @@ def test_mu_bound_refuses_graphs_without_room(g):
 def test_friedman_check_default_uses_spectral_summary():
     g = sample_regular(600, 4, RegularModel.UNIFORM_SIMPLE, 5).graph
     assert friedman_check(g, 4) == friedman_check(g, 4, summary=spectral_summary(g))
+
+
+def test_friedman_check_needs_positive_degree():
+    with pytest.raises(ValueError, match=re.escape("friedman_check needs d >= 1 (got d=0)")):
+        friedman_check(Graph(10, []), 0)
 
 
 def test_friedman_check_rejects_irregular():
