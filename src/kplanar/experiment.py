@@ -9,6 +9,7 @@ violation (AssertionError) is a bug, not a failed trial, and does abort it.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -176,31 +177,30 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _csv_row(rec: TrialRecord, cols: list[str]) -> str:
-    d = rec.to_dict()
-    return ",".join(_fmt_value(d[c]).replace(",", ";") for c in cols)
-
-
 def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
                   with_timings: bool = False) -> list[TrialRecord]:
     """Write records to path as CSV or JSON and return them as a list.
 
     Both formats carry the same columns: the canonical ones, plus
-    `wall_time_s` when with_timings is set.  CSV is flushed after the header
-    and after every row, so when `records` is computed lazily an interrupted
-    run leaves its finished rows on disk.
+    `wall_time_s` when with_timings is set.  CSV cells are quoted only when
+    they need it (a comma in an `error` text), so a cell reads back as the
+    JSON value's text.  CSV is flushed after the header and after every row,
+    so when `records` is computed lazily an interrupted run leaves its
+    finished rows on disk.
     """
     # Wall time is opt-in: it would break byte-identical reruns.
     cols = CSV_FIELDS + (["wall_time_s"] if with_timings else [])
     written: list[TrialRecord] = []
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
         if fmt == "csv":
-            fh.write(",".join(cols) + "\n")
+            rows.writerow(cols)
             fh.flush()
         for rec in records:
             written.append(rec)
             if fmt == "csv":
-                fh.write(_csv_row(rec, cols) + "\n")
+                d = rec.to_dict()
+                rows.writerow([_fmt_value(d[c]) for c in cols])
                 fh.flush()
         if fmt == "json":
             json.dump([{c: r.to_dict()[c] for c in cols} for r in written], fh, indent=1)

@@ -9,7 +9,6 @@ safe to share between threads.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -214,9 +213,9 @@ class EdgePartition:
 
 
 def random_edge_partition(g: Graph, k: int, seed: int) -> EdgePartition:
-    """Uniform random class per edge, in edge order; deterministic given seed."""
-    rng = random.Random(seed)
-    return EdgePartition(k, [rng.randrange(k) for _ in range(g.num_edges)])
+    """Uniform random class per edge, in edge order: the classes are
+    `np.random.default_rng(seed).integers(k, size=m)`, so deterministic given seed."""
+    return EdgePartition(k, np.random.default_rng(seed).integers(k, size=g.num_edges))
 
 
 def write_edge_list(path: str, g: Graph) -> None:

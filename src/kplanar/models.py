@@ -114,16 +114,23 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     """Collapse a multigraph edge array of shape (m, 2) to a simple graph.
 
-    Returns (graph, collapsed_multiedges, removed_loops).
+    Returns (graph, collapsed_multiedges, removed_loops).  The references to
+    the raw rows and the keys are dropped before `Graph(...)` runs, so a
+    caller that passes the rows as a temporary frees them for the build.
     """
     loop = endpoints[:, 0] == endpoints[:, 1]
+    loops = int(np.count_nonzero(loop))
     keys = _pair_keys(n, endpoints)[~loop]
+    del endpoints, loop
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     uniq = keys[first]
-    g = Graph(n, np.column_stack((uniq // n, uniq % n)))
-    return g, int(keys.size - uniq.size), int(np.count_nonzero(loop))
+    collapsed = int(keys.size - uniq.size)
+    del keys, first
+    pairs = np.column_stack((uniq // n, uniq % n))
+    del uniq
+    return Graph(n, pairs), collapsed, loops
 
 
 def _simple_pairing_keys(n: int, pairing: np.ndarray) -> np.ndarray | None:

@@ -9,14 +9,12 @@ implementation bug, never noise.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .graph import Bipartition, EdgePartition, Graph, GraphError, cut_size, induced_subgraph
-from .seeds import derive_seed
 
 __all__ = [
     "BisectionResult",
@@ -128,11 +126,10 @@ def exact_bisection(g: Graph) -> BisectionResult:
     return BisectionResult(Bipartition(block1, block2), width, True)
 
 
-def _cut_and_gains(g: Graph, side: list[bool]) -> tuple[int, list[int]]:
-    """The cut e(side, not side) and each vertex's gain: its neighbours
-    across the cut minus its neighbours on its own side."""
-    s = np.array(side)
-    crossing = g.edges[s[g.edges[:, 0]] != s[g.edges[:, 1]]]
+def _cut_and_gains(g: Graph, side: np.ndarray) -> tuple[int, list[int]]:
+    """The cut e(side, not side) of a bool array `side` and each vertex's
+    gain: its neighbours across the cut minus its neighbours on its own side."""
+    crossing = g.edges[side[g.edges[:, 0]] != side[g.edges[:, 1]]]
     across = np.bincount(crossing.ravel(), minlength=g.n)
     return len(crossing), (2 * across - g.degrees).tolist()
 
@@ -185,8 +182,12 @@ def _improving_swap(side: list[bool], gain: list[int], csr: tuple[list[int], lis
 def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionResult:
     """Balance-constrained move/swap local search; upper bound on b(G).
 
-    Best of `restarts` independent runs with derived seeds; deterministic
-    given (g, seed, restarts); ties broken by lowest restart index.  Each
+    Best of `restarts` runs that draw, in restart order, from one numpy
+    Generator `np.random.default_rng(seed)`: each run takes `rng.permutation(n)`
+    for its starting half (the first n // 2 go on side True), then a second
+    `rng.permutation(n)` for its visiting order.  So the result is
+    deterministic given (g, seed, restarts), and the first r runs are the
+    same for every restarts >= r; ties go to the lowest restart index.  Each
     run keeps gain[v] = (neighbours of v across the cut) - (neighbours on
     v's own side), so moving v lowers the cut by gain[v]; the gains are
     counted once from the edges, then kept exact by `_move` over v's CSR
@@ -199,18 +200,15 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
         raise GraphError(f"local search needs restarts >= 1, got {restarts}")
     lo = _min_side(n)
     csr = tuple(a.tolist() for a in g.csr)
+    rng = np.random.default_rng(seed)
     best: tuple[int, list[bool]] | None = None
-    for r in range(restarts):
-        rng = random.Random(derive_seed(seed, r))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        side = [False] * n
-        for v in perm[: n // 2]:
-            side[v] = True
+    for _ in range(restarts):
+        start = np.zeros(n, dtype=bool)
+        start[rng.permutation(n)[: n // 2]] = True
+        order = rng.permutation(n).tolist()
         sizes = [n - n // 2, n // 2]
-        order = list(range(n))
-        rng.shuffle(order)
-        cut, gain = _cut_and_gains(g, side)
+        cut, gain = _cut_and_gains(g, start)
+        side = start.tolist()
         # Every move or swap taken lowers the cut by at least 1, so the loop ends
         # after at most `cut` (<= m) of them and needs no move budget.
         while True:
@@ -221,7 +219,7 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
                     break
             cut -= taken
         if best is None or cut < best[0]:
-            best = (cut, side.copy())
+            best = (cut, side)
     cut, side = best
     block1 = tuple(v for v in range(n) if not side[v])
     block2 = tuple(v for v in range(n) if side[v])

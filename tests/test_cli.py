@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 import random
@@ -278,6 +279,22 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
                          "--trials", "1", "--seed", "7", "--out", out)
     assert code == 2
     assert sum(1 for _ in open(out)) == 3  # header + one failed + one good row
+
+
+def test_experiment_csv_quotes_the_error_cell(tmp_path, capsys):
+    # The failed row's error text holds commas: CSV quotes that cell, and only
+    # that cell, so it reads back as the JSON row's text.
+    paths = {fmt: str(tmp_path / f"sweep.{fmt}") for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        code, _, _ = run_cli(capsys, "experiment", "--model", "matching", "--n-list", "30",
+                             "--d-list", "40", "--format", fmt, "--out", path)
+        assert code == 2
+    with open(paths["csv"], newline="") as fh:
+        lines = fh.read().splitlines()
+    [row] = csv.DictReader(lines)
+    [record] = json.load(open(paths["json"]))
+    assert "," in record["error"] and row["error"] == record["error"]
+    assert lines[1] == ",".join(f'"{v}"' if "," in v else v for v in row.values())
 
 
 def test_experiment_refuses_impossible_uniform_grid(tmp_path, capsys):

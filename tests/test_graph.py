@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
-                           induced_subgraph, read_edge_list, write_edge_list)
+                           induced_subgraph, random_edge_partition, read_edge_list,
+                           write_edge_list)
 from kplanar.models import _simplify
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
@@ -119,6 +120,20 @@ def test_class_subgraph_keeps_aligned_edges(k4):
     ep = EdgePartition(2, [0, 1, 0, 1, 0, 1])
     assert ep.class_subgraph(k4, 1).edges.tolist() == k4.edges[1::2].tolist()
     assert ep.class_subgraph(k4, 0).n == 4
+
+
+def test_random_edge_partition_of_no_edges_and_one_class():
+    assert random_edge_partition(Graph(4, []), 3, 1).classes.size == 0
+    ep = random_edge_partition(complete_graph(6), 1, 1)
+    assert ep.k == 1 and ep.classes.tolist() == [0] * 15
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_random_edge_partition_classes_are_near_m_over_k(k):
+    # 1% of m/k is at least 2.2 standard deviations of a class count at m = 1e5.
+    g = Graph(500, np.column_stack(np.triu_indices(500, 1))[:100_000])
+    counts = np.bincount(random_edge_partition(g, k, 11).classes, minlength=k)
+    assert np.abs(counts - g.num_edges / k).max() <= 0.01 * g.num_edges / k
 
 
 def union_find_components(n: int, pairs) -> int:

@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,8 +121,8 @@ class TestExactBisection:
         assert res.cut == 0 and res.partition.block1 == tuple(range(8))
 
     def test_corpus_partitions_are_pinned(self):
-        # Recorded with the pure-Python enumeration, before blocks were
-        # scored in numpy, which must not change any cut or partition.
+        # Recorded with `first_minimum_bisection`, the pure-Python enumeration
+        # that numpy scoring replaced and must not change any cut or partition.
         assert exact_corpus_digest() == EXACT_CORPUS_DIGEST
 
     @settings(max_examples=300, deadline=None)
@@ -182,7 +183,7 @@ def exact_corpus_digest() -> str:
     return h.hexdigest()
 
 
-EXACT_CORPUS_DIGEST = "55823d7b68b50d28c1c4bffc61e9be8bcb6bc0affeb071e4d1977b312cb15c97"
+EXACT_CORPUS_DIGEST = "159609b1e7ee758ebfacd8c5345e2e9ffa4c39fa5b9278da587e5c912500d31a"
 
 
 def local_search_corpus():
@@ -210,10 +211,9 @@ def local_search_corpus_digest() -> str:
 
 class TestLocalSearch:
     def test_corpus_partitions_are_pinned(self):
-        # Recorded before the search kept per-vertex gains, which must not
-        # change any partition or cut.
+        # Recorded when the draws moved to one numpy Generator per call.
         assert local_search_corpus_digest() == (
-            "8c0b3c12ffa7e68c91870fefabea1791f87f3d54a4ae04456735744d5c83ed44")
+            "65cb7d5d29f3718be43b9abb42c4d386c4d21293d6a769c292056764724a2eb6")
 
     def test_corpus_takes_the_swap_branch(self, monkeypatch):
         swap = kplanar.partitions._improving_swap
@@ -238,7 +238,8 @@ class TestLocalSearch:
 
     def test_dense_graphs_past_fifty_moves_per_vertex(self):
         # Above average degree 100, m > 50n: the search stops because every move or
-        # swap lowers the cut, with no move budget.  Digest recorded with the old 50n cap.
+        # swap lowers the cut, with no move budget.  Digest recorded when the draws
+        # moved to one numpy Generator per call.
         h = hashlib.sha256()
         for n, p in ((250, 0.6), (400, 0.5)):
             g = sample_gnp(n, p, 1)
@@ -249,7 +250,24 @@ class TestLocalSearch:
             assert res.partition.balanced and sorted(b1 + b2) == list(range(n))
             h.update(repr((res.cut, b1, b2)).encode())
         assert h.hexdigest() == (
-            "a6be7ae8449114fd05db5618c0d5cfaf8d2a432058874c7cb2c63487a04fb320")
+            "c1ee18d1242d2d31692dc0a6cedee2deec600436352d6fe021aec5bf78676aea")
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.integers(0, 2**32), st.integers(1, 4))
+    def test_restarts_are_a_prefix(self, g, seed, restarts):
+        # One Generator per call: the first r runs do not depend on how many follow.
+        assert (local_search_bisection(g, seed, restarts + 1).cut
+                <= local_search_bisection(g, seed, restarts).cut)
+
+    def test_ignores_global_random_state(self):
+        g = random_graph(40, 0.2, 3)
+        results = []
+        for state in (0, 1):
+            random.seed(state)
+            np.random.seed(state)
+            results.append((local_search_bisection(g, seed=5, restarts=3),
+                            random_edge_partition(g, 3, 5).classes.tolist()))
+        assert results[0] == results[1]
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(GraphError, match="restarts >= 1"):

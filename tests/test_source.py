@@ -23,6 +23,24 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
+# Modules that may import the stdlib `random`, each with the reason; every
+# other seeded draw comes from a numpy Generator.
+RANDOM_IMPORTERS = {
+    "certify.py": "estimate_pair_density's sampled pairs; ROADMAP item 2 deletes that estimator",
+}
+
+
+def test_seeded_draws_use_numpy_generators():
+    importers = set()
+    for path in sorted(SRC.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "random" for name in names):
+                importers.add(path.name)
+    assert importers == set(RANDOM_IMPORTERS)
+
+
 # Public names that nothing outside tests/ uses, each with the reason it stays public.
 UNREFERENCED_EXPORTS = {
     "threshold_c0": "c0(k) of the paper's degree condition; acceptance criteria 6 and 7 use it",
