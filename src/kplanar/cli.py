@@ -107,52 +107,57 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def seed(text: str) -> int:
+    """`--seed`'s type, a non-negative integer; argparse names it in `invalid seed value`."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+# Every flag that more than one subcommand takes, declared once.
+SHARED_FLAGS = {
+    "--in": dict(dest="infile", required=True),
+    "--k": dict(type=int, required=True),
+    "--model": dict(choices=["gnp"] + sorted(m.value for m in RegularModel), required=True),
+    "--out": dict(default=None),
+    "--restarts": dict(type=int, default=8),
+    "--seed": dict(type=seed, default=0),
+    "--quiet": dict(action="store_true"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kplanar")
     sub = parser.add_subparsers(dest="command", required=True)
-    models = ["gnp"] + sorted(m.value for m in RegularModel)
 
-    p = sub.add_parser("sample", help="draw one random graph to an edge-list file")
-    p.add_argument("--model", choices=models, required=True)
+    def command(name, func, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in (*shared, "--quiet"):
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("sample", _cmd_sample, "draw one random graph to an edge-list file",
+                "--model", "--seed", "--out")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float)
     p.add_argument("--d", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("spectrum", help="eigenvalue summary of a graph file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_spectrum)
+    command("spectrum", _cmd_spectrum, "eigenvalue summary of a graph file", "--in")
 
-    p = sub.add_parser("bisect", help="1/3-2/3 bisection (exact or heuristic)")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("bisect", _cmd_bisect, "1/3-2/3 bisection (exact or heuristic)",
+                "--in", "--restarts", "--seed")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_bisect)
 
-    p = sub.add_parser("witness", help="witness-chain extraction for a k-partition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("witness", _cmd_witness, "witness-chain extraction for a k-partition",
+                "--in", "--k", "--restarts", "--seed")
     p.add_argument("--partition", default="random",
                    help="'random' or a file with one class index per edge line")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("certify", help="k-planar crossing lower-bound certificate")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_certify)
+    command("certify", _cmd_certify, "k-planar crossing lower-bound certificate", "--in", "--k")
 
-    p = sub.add_parser("experiment", help="seeded sweep over a parameter grid")
-    p.add_argument("--model", choices=models, required=True)
+    p = command("experiment", _cmd_experiment, "seeded sweep over a parameter grid",
+                "--model", "--seed", "--out")
     p.add_argument("--n-list", type=int, nargs="+", required=True)
     p.add_argument("--d-list", type=int, nargs="+")
     p.add_argument("--p-list", type=float, nargs="+")
@@ -160,26 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--witness", action="store_true")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("fit", help="log-log scaling fit over a sweep CSV")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("fit", _cmd_fit, "log-log scaling fit over a sweep CSV", "--in")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_fit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

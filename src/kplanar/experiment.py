@@ -203,7 +203,8 @@ def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
                 rows.writerow([_fmt_value(d[c]) for c in cols])
                 fh.flush()
         if fmt == "json":
-            json.dump([{c: r.to_dict()[c] for c in cols} for r in written], fh, indent=1)
+            dicts = (r.to_dict() for r in written)
+            json.dump([{c: d[c] for c in cols} for d in dicts], fh, indent=1)
             fh.write("\n")
     return written
 

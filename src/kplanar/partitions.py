@@ -161,14 +161,15 @@ def _improve_pass(side: list[bool], gain: list[int], csr: tuple[list[int], list[
 
 def _improving_swap(side: list[bool], gain: list[int], csr: tuple[list[int], list[int]],
                     order: list[int]) -> int:
-    """First improving swap across the cut, or 0 if none exists."""
+    """First improving swap of a gaining side-True u (no other u is tried) with a
+    side-False v, in visiting order, or 0; skips u if gain[u] + max side-False gain <= 0."""
     ptr, idx = csr
-    ones = [v for v in order if side[v]]
     zeros = [v for v in order if not side[v]]
-    for u in ones:
+    top = max(gain[v] for v in zeros)
+    for u in order:
         gu = gain[u]
-        if gu <= 0:
-            continue  # cheap filter: a good swap needs at least one gaining side
+        if not side[u] or gu <= 0 or gu + top <= 0:
+            continue
         nbrs = set(idx[ptr[u]:ptr[u + 1]])
         for v in zeros:
             delta = gu + gain[v] - (2 if v in nbrs else 0)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import pathlib
@@ -138,6 +139,102 @@ def test_removed_flags_are_rejected(tmp_path, capsys, monkeypatch, command, remo
     assert code == 1 and stdout == ""
     assert f"unrecognized arguments: {' '.join(removed)}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]  # nothing was written
+
+
+MODELS = ["gnp", "cycle", "matching", "perm", "uniform"]
+# Each option as (dest, type name, default, required, choices, nargs).
+PINNED_OPTIONS = {
+    "sample": {
+        "--model": ("model", None, None, True, MODELS, None),
+        "--n": ("n", "int", None, True, None, None),
+        "--p": ("p", "float", None, False, None, None),
+        "--d": ("d", "int", None, False, None, None),
+        "--seed": ("seed", "seed", 0, False, None, None),
+        "--out": ("out", None, None, False, None, None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+    "spectrum": {
+        "--in": ("infile", None, None, True, None, None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+    "bisect": {
+        "--in": ("infile", None, None, True, None, None),
+        "--exact": ("exact", None, False, False, None, 0),
+        "--restarts": ("restarts", "int", 8, False, None, None),
+        "--seed": ("seed", "seed", 0, False, None, None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+    "witness": {
+        "--in": ("infile", None, None, True, None, None),
+        "--k": ("k", "int", None, True, None, None),
+        "--partition": ("partition", None, "random", False, None, None),
+        "--restarts": ("restarts", "int", 8, False, None, None),
+        "--seed": ("seed", "seed", 0, False, None, None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+    "certify": {
+        "--in": ("infile", None, None, True, None, None),
+        "--k": ("k", "int", None, True, None, None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+    "experiment": {
+        "--model": ("model", None, None, True, MODELS, None),
+        "--n-list": ("n_list", "int", None, True, None, "+"),
+        "--d-list": ("d_list", "int", None, False, None, "+"),
+        "--p-list": ("p_list", "float", None, False, None, "+"),
+        "--k": ("k", "int", 2, False, None, None),
+        "--trials": ("trials", "int", 1, False, None, None),
+        "--witness": ("witness", None, False, False, None, 0),
+        "--timings": ("timings", None, False, False, None, 0),
+        "--seed": ("seed", "seed", 0, False, None, None),
+        "--out": ("out", None, None, False, None, None),
+        "--format": ("format", None, "csv", False, ["csv", "json"], None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+    "fit": {
+        "--in": ("infile", None, None, True, None, None),
+        "--x": ("x", None, None, True, None, None),
+        "--y": ("y", None, None, True, None, None),
+        "--quiet": ("quiet", None, False, False, None, 0),
+    },
+}
+
+
+def test_every_option_is_pinned():
+    # Each subcommand takes its shared flags from one table, so a slip there would
+    # change a type, default, `required` or choice on several commands at once.
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {a.option_strings[0]: (a.dest, getattr(a.type, "__name__", a.type), a.default,
+                                     a.required, a.choices, a.nargs)
+               for a in parser._actions if a.dest != "help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert options == PINNED_OPTIONS
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--model", "gnp", "--n", "30", "--p", "0.2", "--out", "g.txt"],
+    ["bisect", "--in", "in.txt"],
+    ["witness", "--in", "in.txt", "--k", "2"],
+    ["experiment", "--model", "gnp", "--n-list", "30", "--p-list", "0.2", "--out", "s.csv"],
+], ids=lambda c: c[0])
+def test_negative_seed_is_refused_at_parse_time(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_edge_list("in.txt", random_graph(20, 0.3, 1))
+    code, stdout, err = run_cli(capsys, *command, "--seed", "-1")
+    assert code == 1 and stdout == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]  # nothing was written
+
+
+def test_largest_seed_still_runs(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, stdout, _ = run_cli(capsys, "experiment", "--model", "matching", "--n-list", "30",
+                              "--d-list", "4", "--seed", str(2**64 - 1), "--out", str(out))
+    assert code == 0 and json.loads(stdout)["records"] == 1
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_fit_counts_blank_cells_as_excluded(tmp_path, capsys):

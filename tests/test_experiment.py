@@ -137,6 +137,14 @@ class TestRunExperiment:
         assert all(list(row) == header for row in json.load(open(json_path)))
         assert ("wall_time_s" in header) is with_timings
 
+    def test_json_writer_reads_each_record_once(self, tmp_path, monkeypatch):
+        recs = run_experiment(small_cfg(trials=3))
+        to_dict, read = kplanar.experiment.TrialRecord.to_dict, []
+        monkeypatch.setattr(kplanar.experiment.TrialRecord, "to_dict",
+                            lambda rec: read.append(rec) or to_dict(rec))
+        write_records(recs, str(tmp_path / "r.json"), "json")
+        assert list(map(id, read)) == list(map(id, recs))
+
 
 class TestFitScaling:
     def test_exact_square_law(self):

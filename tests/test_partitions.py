@@ -12,7 +12,7 @@ import kplanar.partitions
 from kplanar.graph import (Bipartition, Graph, GraphError,
                            cut_size, random_edge_partition)
 from kplanar.models import RegularModel, sample_gnp, sample_regular
-from kplanar.partitions import (exact_bisection, lemma1_split,
+from kplanar.partitions import (_cut_and_gains, _improving_swap, exact_bisection, lemma1_split,
                                 local_search_bisection, witness_chain)
 
 from conftest import complete_bipartite, complete_graph, cycle_graph, path_graph, random_graph
@@ -29,6 +29,28 @@ def brute_bisection_width(g: Graph) -> int:
             cut = sum(1 for u, v in g.edges.tolist() if (u in side) != (v in side))
             best = cut if best is None else min(best, cut)
     return best
+
+
+def first_improving_swap(g: Graph, side: list[bool], order: list[int]) -> tuple[int, list[bool]]:
+    """Reference for `_improving_swap`: the first pair in (side-True vertices
+    in `order`) x (side-False vertices in `order`) whose swap lowers the cut,
+    trying only u with a positive gain; both counted from the edge list.
+    Returns the cut drop and the sides after the swap, or (0, side)."""
+    edges = g.edges.tolist()
+
+    def cut(s):
+        return sum(1 for a, b in edges if s[a] != s[b])
+
+    def gain(u):
+        return sum(1 if side[a] != side[b] else -1 for a, b in edges if u in (a, b))
+
+    for u in (u for u in order if side[u] and gain(u) > 0):
+        for v in (v for v in order if not side[v]):
+            swapped = list(side)
+            swapped[u], swapped[v] = False, True
+            if cut(side) > cut(swapped):
+                return cut(side) - cut(swapped), swapped
+    return 0, list(side)
 
 
 @st.composite
@@ -235,6 +257,19 @@ class TestLocalSearch:
         b1, b2 = res.partition.block1, res.partition.block2
         assert res.cut == cut_size(g, b1, b2)
         assert res.partition.balanced and sorted(b1 + b2) == list(range(g.n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_improving_swap_is_the_first_improving_pair(self, g, data):
+        side = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)
+                         .filter(lambda s: any(s) and not all(s)))
+        order = data.draw(st.permutations(range(g.n)))
+        delta, swapped = first_improving_swap(g, side, order)
+        got, gain = list(side), _cut_and_gains(g, np.array(side))[1]
+        csr = tuple(a.tolist() for a in g.csr)
+        assert _improving_swap(got, gain, csr, order) == delta
+        assert got == swapped
+        assert gain == _cut_and_gains(g, np.array(swapped))[1]
 
     def test_dense_graphs_past_fifty_moves_per_vertex(self):
         # Above average degree 100, m > 50n: the search stops because every move or
