@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .graph import Graph, GraphError, cut_size
+from .partitions import witness_floor
 from .spectral import SpectralSummary
 
 __all__ = [
@@ -37,9 +38,7 @@ BRUTE_CAP = 12
 
 def alpha_of(k: int) -> float:
     """Witness-set size fraction 1/(6*3^(k-2))."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return 1.0 / (6 * 3 ** (k - 2))
+    return 1.0 / witness_floor(k)
 
 
 def mixing_density_lb(n: int, d: int, mu: float, alpha: float, beta: float) -> float:
@@ -77,10 +76,9 @@ def threshold_c0(k: int) -> int:
 
 
 def set_size_t(n: int, k: int) -> tuple[int, bool]:
-    """Witness-set size ceil(n / (6*3^(k-2))) and a flag that is False when
-    n is too small for the raw (real-valued) size to reach 1."""
-    raw = n * alpha_of(k)
-    return max(1, math.ceil(raw)), raw >= 1.0
+    """Witness-set size ceil(n / (6*3^(k-2))), in integers, and a flag that is
+    False when n is too small for the raw (real-valued) size to reach 1."""
+    return max(1, -(-n // witness_floor(k))), n >= witness_floor(k)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .certify import certify_k_planar_lb
 from .graph import random_edge_partition
 from .models import (RegularModel, check_uniform_simple, max_degree_ok, sample_gnp,
                      sample_regular)
-from .partitions import local_search_bisection, witness_chain
+from .partitions import local_search_bisection, witness_chain, witness_floor
 from .seeds import derive_seed
 from .spectral import friedman_check, spectral_summary
 
@@ -61,6 +61,8 @@ class ExperimentConfig:
             if RegularModel(self.model) is RegularModel.UNIFORM_SIMPLE:  # validates the tag
                 for d in self.d_list:
                     check_uniform_simple(d)
+        if self.with_witness and min(self.n_list) < (floor := witness_floor(self.k)):
+            raise ValueError(f"--witness at k={self.k} needs n >= {floor}, got n={min(self.n_list)}")
 
     @property
     def cells(self) -> list[tuple[int, float | int]]:

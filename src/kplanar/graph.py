@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -43,6 +41,14 @@ def _pair_keys(n: int, endpoints: np.ndarray) -> np.ndarray:
     return np.minimum(u, v) * n + np.maximum(u, v)
 
 
+def _int_array(values, what: str) -> np.ndarray:
+    """`values` as int64; GraphError for a non-integer dtype (a cast truncates 0.9 to 0)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise GraphError(f"{what} must be integers, got {a.dtype} values")
+    return a.astype(np.int64, copy=False)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -58,7 +64,7 @@ class Graph:
         the first bad pair in input order: a self-loop, else out of range, else a repeat."""
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else [*edges], dtype=np.int64)
+        pairs = _int_array(edges if isinstance(edges, np.ndarray) else [*edges], "vertex ids")
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise GraphError(f"edges must be pairs, got an array of shape {pairs.shape}")
         lohi = np.sort(pairs.reshape(-1, 2), axis=1)
@@ -108,16 +114,6 @@ class Graph:
         """The common degree if the graph is regular, else None."""
         degs = self.degrees
         return int(degs[0]) if degs.size and (degs == degs[0]).all() else None
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        indptr, indices = self.csr
-        # The CSR stores every edge both ways, so the strong components are the components;
-        # the directed form skips the symmetrised copy that directed=False builds.
-        a = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
-        return connected_components(a, directed=True, connection="strong",
-                                    return_labels=False) == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -200,7 +196,7 @@ class EdgePartition:
     classes: np.ndarray
 
     def __post_init__(self):
-        classes = np.array(self.classes, dtype=np.int64)
+        classes = _int_array(self.classes, "edge classes").copy()
         if self.k < 1 or classes.ndim != 1 or ((classes < 0) | (classes >= self.k)).any():
             raise GraphError(f"need k >= 1 and a 1-D array of classes in 0..k-1, got k={self.k}")
         object.__setattr__(self, "classes", _frozen(classes))

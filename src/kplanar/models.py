@@ -87,6 +87,8 @@ def _pair_of_index(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each of the C(n, 2) pairs kept independently
     with probability p.  Deterministic given seed."""
+    if n < 0:
+        raise SampleError(f"negative vertex count n={n}")
     if not 0.0 <= p <= 1.0:
         raise SampleError(f"p={p} outside [0, 1]")
     total = n * (n - 1) // 2

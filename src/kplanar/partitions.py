@@ -24,6 +24,7 @@ __all__ = [
     "exact_bisection",
     "local_search_bisection",
     "witness_chain",
+    "witness_floor",
 ]
 
 EXACT_CAP = 22
@@ -300,6 +301,13 @@ def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: tuple[int, ...]
     return bip, res.cut
 
 
+def witness_floor(k: int) -> int:
+    """6*3^(k-2): on fewer vertices a k-class witness chain's sets hold under one vertex."""
+    if k < 2:
+        raise GraphError(f"need k >= 2 classes, got k={k}")
+    return 6 * 3 ** (k - 2)
+
+
 def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessChain:
     """Recursive extraction of a set pair separated by every level's bisection.
 
@@ -312,11 +320,8 @@ def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessC
     e(A, B) <= sum of widths for any valid oracle.
     """
     k = ep.k
-    if k < 2:
-        raise GraphError(f"witness chain needs k >= 2 classes, got {k}")
-    floor_needed = 6 * 3 ** (k - 2)
-    if g.n < floor_needed:
-        raise GraphError(f"need n >= 6*3^(k-2) = {floor_needed}, got n={g.n}")
+    if g.n < witness_floor(k):
+        raise GraphError(f"need n >= 6*3^(k-2) = {witness_floor(k)}, got n={g.n}")
 
     ground = tuple(range(g.n))
     carried, w = _bisect_class(g, ep, 0, ground, bisect)

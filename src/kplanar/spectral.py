@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .graph import Graph
 
@@ -84,43 +85,43 @@ class SpectralSummary:
         return out
 
 
-def _mu_of(vals_desc: np.ndarray) -> float:
-    # Largest absolute value among all eigenvalues except one copy of the top.
-    if vals_desc.size <= 1:
-        return 0.0
-    return float(max(abs(vals_desc[1]), abs(vals_desc[-1])))
+def _adjacency(g: Graph) -> sp.csr_matrix:
+    """g's adjacency matrix on its CSR arrays: the one place a Graph becomes a matrix."""
+    indptr, indices = g.csr
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
 
 
-def _disconnect_warning(g: Graph) -> str | None:
-    d = g.regular_degree()
-    if d is not None and d > 0 and not g.is_connected():
+def _connected(a: sp.csr_matrix) -> bool:
+    # `a` stores every edge both ways, so its strong components are the components, without
+    # the symmetrised copy that directed=False builds; no vertex at all counts as connected.
+    return connected_components(a, directed=True, connection="strong", return_labels=False) <= 1
+
+
+def _disconnect_warning(g: Graph, a: sp.csr_matrix) -> str | None:
+    if g.regular_degree() and not _connected(a):  # None or 0 is no warning
         return "disconnected regular graph: mu = degree, certificates degenerate"
-    return None
 
 
 def spectrum_full(g: Graph) -> SpectralSummary:
     """All n eigenvalues by a dense symmetric solve, with a rounding allowance
     of 10 eps n lambda1 (lambda1 >= 1 once there is an edge).  An edgeless
     graph's spectrum is exactly n zeros: no solve, no size cap, residual 0."""
-    if g.n == 0:
-        return SpectralSummary(0, 0.0, 0.0, "dense", 0.0, ())
     if g.num_edges == 0:
-        vals = np.zeros(g.n)
-    elif g.n > DENSE_CAP:
+        return SpectralSummary(g.n, 0.0, 0.0, "dense", 0.0, (0.0,) * g.n)
+    if g.n > DENSE_CAP:
         raise SpectralError(f"n={g.n} exceeds dense cap {DENSE_CAP}")
-    else:
-        a = np.zeros((g.n, g.n))
-        a[g.edges[:, 0], g.edges[:, 1]] = 1.0
-        vals = np.linalg.eigvalsh(a + a.T)[::-1]
-    resid = 10 * np.finfo(float).eps * g.n * max(min(1.0, g.num_edges), float(abs(vals[0])))
+    a = _adjacency(g)
+    vals = np.linalg.eigvalsh(a.toarray())[::-1]
+    resid = 10 * np.finfo(float).eps * g.n * max(1.0, float(abs(vals[0])))
     return SpectralSummary(
         n=g.n,
         lambda1=float(vals[0]),
-        mu=_mu_of(vals),
+        # An edge means n >= 2: mu is the largest magnitude but one copy of the top.
+        mu=float(max(abs(vals[1]), abs(vals[-1]))),
         method="dense",
         residual=float(resid),
         full_spectrum=tuple(float(x) for x in vals),
-        warning=_disconnect_warning(g),
+        warning=_disconnect_warning(g, a),
     )
 
 
@@ -138,15 +139,15 @@ def mu_bound(g: Graph) -> SpectralSummary:
     # start on the zero operator of an edgeless graph.
     if g.n < 4 or g.num_edges == 0:
         raise SpectralError(f"Lanczos needs n >= 4 and an edge, got n={g.n}, m={g.num_edges}")
-    a = sp.csr_matrix((np.ones(2 * g.num_edges), g.csr[1], g.csr[0]), shape=(g.n, g.n))
+    a = _adjacency(g)
     k = min(6, g.n - 2)
-    dmax = g.max_degree
+    gate = TOL * max(1.0, g.max_degree)
     v0 = np.random.default_rng(0xA5F0).standard_normal(g.n)
     ncv = min(g.n, max(4 * k, 40))
     maxiter = max(10, MATVEC_BUDGET // ncv)
     # ARPACK stops once every Ritz pair has ||r|| <= tol * |theta|, and
-    # |theta| <= rho(A) <= max degree, so tol = TOL already meets the gate
-    # TOL * max(1, dmax) below; a tighter stop only adds matvecs.
+    # |theta| <= rho(A) <= max degree, so tol = TOL already meets `gate`;
+    # a tighter stop only adds matvecs.
     try:
         vals, vecs = spla.eigsh(a, k=k, which="LM", tol=TOL, v0=v0, ncv=ncv, maxiter=maxiter)
     except spla.ArpackNoConvergence as exc:
@@ -161,21 +162,16 @@ def mu_bound(g: Graph) -> SpectralSummary:
     rest = np.delete(np.arange(k), i1)
     i2 = int(rest[np.argmax(np.abs(vals[rest]))])
     mu = float(abs(vals[i2]))
-    resid = max(
-        float(np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])) for i in {i1, i2}
-    )
-    if resid > TOL * max(1.0, dmax):
-        raise SpectralError(
-            f"residual {resid:.3e} exceeds tolerance {TOL * max(1.0, dmax):.3e}"
-        )
+    resid = max(float(np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])) for i in {i1, i2})
+    if resid > gate:
+        raise SpectralError(f"residual {resid:.3e} exceeds tolerance {gate:.3e}")
     return SpectralSummary(
         n=g.n,
         lambda1=lambda1,
         mu=mu,
         method="iterative",
         residual=resid,
-        full_spectrum=None,
-        warning=_disconnect_warning(g),
+        warning=_disconnect_warning(g, a),
     )
 
 

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from kplanar.graph import Graph
 
@@ -32,6 +33,16 @@ def petersen_graph() -> Graph:
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rnd = random.Random(seed)
     return Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+@st.composite
+def simple_edge_lists(draw):
+    """(n, pairs): distinct non-loop pairs on 0..n-1, each either way round,
+    in random order."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
 
 
 @pytest.fixture

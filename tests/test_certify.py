@@ -73,6 +73,11 @@ def test_set_size_t_values():
     assert set_size_t(36, 2) == (6, True)
     assert set_size_t(54, 3) == (3, True)
     assert set_size_t(5, 2) == (1, False)
+    # Integer arithmetic: in floats 1458 / 1458 reads 0.9999999999999999 and
+    # 1458 / 486 reads 3.0000000000000004, which rounded t up to 4.
+    assert set_size_t(1458, 7) == (1, True)
+    assert set_size_t(1457, 7) == (1, False)
+    assert set_size_t(1458, 6) == (3, True)
 
 
 class TestCertify:

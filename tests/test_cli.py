@@ -42,6 +42,14 @@ def test_sample_regular_report(tmp_path, capsys):
     assert {"rejected_attempts", "collapsed_multiedges", "removed_loops"} <= set(report)
 
 
+def test_sample_gnp_refuses_negative_n(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    code, stdout, err = run_cli(capsys, "sample", "--model", "gnp", "--n", "-3", "--p", "0.5",
+                                "--out", str(out))
+    assert (code, stdout, err) == (1, "", "error: negative vertex count n=-3\n")
+    assert not out.exists()
+
+
 def test_sample_missing_param_is_config_error(capsys):
     code, _, err = run_cli(capsys, "sample", "--model", "gnp", "--n", "10")
     assert code == 1 and "error" in err
@@ -411,6 +419,19 @@ def test_experiment_refuses_k_below_2(tmp_path, capsys, model, grid):
                                 "--out", str(out))
     assert code == 1 and stdout == ""
     assert err == "error: certificates and witness chains need k >= 2, got k=1\n"
+    assert not out.exists()  # refused before the first trial
+
+
+def test_experiment_refuses_witness_grid_below_the_floor(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph before refusing the grid")
+
+    monkeypatch.setattr(kplanar.experiment, "sample_regular", no_sampling)
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "experiment", "--model", "uniform", "--n-list", "12", "30",
+                                "--d-list", "4", "--k", "3", "--witness", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: --witness at k=3 needs n >= 18, got n=12\n"
     assert not out.exists()  # refused before the first trial
 
 

@@ -5,14 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                            induced_subgraph, random_edge_partition, read_edge_list,
                            write_edge_list)
 from kplanar.models import _simplify
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_graph, simple_edge_lists
 
 
 def test_from_edge_list_path():
@@ -55,16 +54,6 @@ def test_from_edge_list_rejects_out_of_range():
         Graph(3, [(0, 3)])
 
 
-@st.composite
-def simple_edge_lists(draw):
-    """(n, pairs): distinct non-loop pairs on 0..n-1, each either way round,
-    in random order."""
-    n = draw(st.integers(0, 12))
-    pairs = list(combinations(range(n), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
-
-
 @settings(max_examples=200, deadline=None)
 @given(simple_edge_lists())
 def test_derived_views_agree_with_edges(case):
@@ -102,6 +91,20 @@ def test_graph_rejects_non_pairs():
         Graph(4, [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("edges", [[(0.5, 1.7)], np.array([[0.9, 2.2]]), [(0.0, 1.0)]],
+                         ids=["list", "ndarray", "integral-floats"])
+def test_graph_refuses_float_vertex_ids(edges):
+    # A cast would truncate (0.5, 1.7) to the edge (0, 1) and (0.9, 2.2) to (0, 2).
+    with pytest.raises(GraphError, match="vertex ids must be integers, got float64"):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize("edges", [[], (), np.empty((0, 2)), np.array([], dtype=np.int32)],
+                         ids=["list", "tuple", "float-array", "int32-array"])
+def test_graph_accepts_empty_edges_of_any_dtype(edges):
+    assert Graph(3, edges) == Graph(3, np.empty((0, 2), dtype=np.int64))
+
+
 def test_edges_are_read_only(k4):
     with pytest.raises(ValueError):
         k4.edges[0, 0] = 3
@@ -114,6 +117,20 @@ def test_edge_partition_rejects_bad_classes(k4):
     for classes in ([0, 1, 0], [0] * 7):
         with pytest.raises(GraphError, match=f"{len(classes)} edge classes for 6 edges"):
             EdgePartition(2, classes).class_subgraph(k4, 0)
+
+
+@pytest.mark.parametrize("classes", [np.array([0.7, 1.9]), [0.0, 1.0]], ids=["ndarray", "list"])
+def test_edge_partition_refuses_float_classes(classes):
+    # A cast would truncate [0.7, 1.9] to the classes [0, 1].
+    with pytest.raises(GraphError, match="edge classes must be integers, got float64"):
+        EdgePartition(2, classes)
+
+
+def test_edge_partition_accepts_no_edges_and_leaves_its_input_writable():
+    assert EdgePartition(2, []).classes.dtype == np.int64
+    classes = np.array([0, 1])
+    EdgePartition(2, classes)
+    assert classes.flags.writeable
 
 
 def test_class_subgraph_keeps_aligned_edges(k4):
@@ -134,38 +151,6 @@ def test_random_edge_partition_classes_are_near_m_over_k(k):
     g = Graph(500, np.column_stack(np.triu_indices(500, 1))[:100_000])
     counts = np.bincount(random_edge_partition(g, k, 11).classes, minlength=k)
     assert np.abs(counts - g.num_edges / k).max() <= 0.01 * g.num_edges / k
-
-
-def union_find_components(n: int, pairs) -> int:
-    root = list(range(n))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for u, v in pairs:
-        root[find(u)] = find(v)
-    return sum(root[v] == v for v in range(n))
-
-
-@settings(max_examples=300, deadline=None)
-@given(simple_edge_lists().filter(lambda case: case[0] >= 1))
-def test_is_connected_matches_union_find(case):
-    n, pairs = case
-    assert Graph(n, pairs).is_connected() == (union_find_components(n, pairs) == 1)
-
-
-@pytest.mark.parametrize("g,connected", [
-    (Graph(0, []), True),
-    (Graph(1, []), True),
-    (Graph(4, [(0, 1), (1, 2)]), False),                       # vertex 3 isolated
-    (Graph(8, [(i, (i + 1) % 4) for i in range(4)]
-           + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]), False),  # two 4-cycles
-    (path_graph(100_000), True),                               # deeper than any recursion
-], ids=["n0", "n1", "isolated-vertex", "two-cycles", "path-1e5"])
-def test_is_connected_fixed_cases(g, connected):
-    assert g.is_connected() is connected
 
 
 def test_cut_size_k4_singletons(k4):

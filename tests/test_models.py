@@ -22,6 +22,10 @@ class TestGnp:
         g = sample_gnp(8, 1.0, 1)
         assert g.num_edges == 28
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(SampleError, match="n=-3"):
+            sample_gnp(-3, 0.5, 0)
+
     def test_rejects_bad_p(self):
         with pytest.raises(SampleError):
             sample_gnp(10, 1.5, 0)

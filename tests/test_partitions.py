@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +14,7 @@ from kplanar.graph import (Bipartition, Graph, GraphError,
                            cut_size, random_edge_partition)
 from kplanar.models import RegularModel, sample_gnp, sample_regular
 from kplanar.partitions import (_cut_and_gains, _improving_swap, exact_bisection, lemma1_split,
-                                local_search_bisection, witness_chain)
+                                local_search_bisection, witness_chain, witness_floor)
 
 from conftest import complete_bipartite, complete_graph, cycle_graph, path_graph, random_graph
 
@@ -396,6 +397,16 @@ class TestWitnessChain:
         ep = random_edge_partition(g, 3, seed=1)
         with pytest.raises(GraphError, match="6\\*3"):
             witness_chain(g, ep, exact_bisection)
+
+    def test_floor_is_the_smallest_n_that_runs(self):
+        assert [witness_floor(k) for k in (2, 3, 4)] == [6, 18, 54]
+        ep = random_edge_partition(cycle_graph(18), 3, seed=1)
+        assert witness_chain(cycle_graph(18), ep, exact_bisection).e_ab >= 0
+        with pytest.raises(GraphError, match=re.escape("need n >= 6*3^(k-2) = 18, got n=17")):
+            witness_chain(cycle_graph(17), random_edge_partition(cycle_graph(17), 3, seed=1),
+                          exact_bisection)
+        with pytest.raises(GraphError, match="need k >= 2 classes, got k=1"):
+            witness_floor(1)
 
     def test_rejects_unbalanced_oracle(self):
         g = random_graph(12, 0.5, 2)

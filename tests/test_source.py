@@ -30,15 +30,30 @@ RANDOM_IMPORTERS = {
 }
 
 
-def test_seeded_draws_use_numpy_generators():
+def _importers(package: str) -> set[str]:
+    """The source files that import `package` or one of its submodules."""
     importers = set()
     for path in sorted(SRC.glob("**/*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if any(name and name.split(".")[0] == "random" for name in names):
+            if any(name and name.split(".")[0] == package for name in names):
                 importers.add(path.name)
-    assert importers == set(RANDOM_IMPORTERS)
+    return importers
+
+
+def test_seeded_draws_use_numpy_generators():
+    assert _importers("random") == set(RANDOM_IMPORTERS)
+
+
+# Modules that may import scipy, each with the reason; the rest of the package is numpy only.
+SCIPY_IMPORTERS = {
+    "spectral.py": "the one adjacency matrix: ARPACK's Lanczos and the connectivity check",
+}
+
+
+def test_only_spectral_imports_scipy():
+    assert _importers("scipy") == set(SCIPY_IMPORTERS)
 
 
 # Public names that nothing outside tests/ uses, each with the reason it stays public.

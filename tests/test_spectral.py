@@ -3,14 +3,16 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from kplanar.graph import Graph
 from kplanar.models import RegularModel, sample_regular
-from kplanar.spectral import (TOL, SpectralError, friedman_check, mu_bound,
-                              spectral_summary, spectrum_full)
+from kplanar.spectral import (TOL, SpectralError, _adjacency, _connected, friedman_check,
+                              mu_bound, spectral_summary, spectrum_full)
 
-from conftest import (complete_bipartite, complete_graph, cycle_graph,
-                      petersen_graph, random_graph)
+from conftest import (complete_bipartite, complete_graph, cycle_graph, path_graph,
+                      petersen_graph, random_graph, simple_edge_lists)
 
 
 def test_k4_spectrum(k4):
@@ -100,6 +102,57 @@ def test_mu_bound_flags_disconnected_regular():
     s = mu_bound(two_cycles)
     assert s.warning is not None
     assert s.mu == pytest.approx(2.0, abs=1e-8)
+
+
+def union_find_components(n: int, pairs) -> int:
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in pairs:
+        root[find(u)] = find(v)
+    return sum(root[v] == v for v in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_edge_lists().filter(lambda case: case[0] >= 1))
+def test_connected_matches_union_find(case):
+    n, pairs = case
+    assert _connected(_adjacency(Graph(n, pairs))) == (union_find_components(n, pairs) == 1)
+
+
+@pytest.mark.parametrize("g,connected", [
+    (Graph(0, []), True),
+    (Graph(1, []), True),
+    (Graph(4, [(0, 1), (1, 2)]), False),                       # vertex 3 isolated
+    (Graph(8, [(i, (i + 1) % 4) for i in range(4)]
+           + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]), False),  # two 4-cycles
+    (path_graph(100_000), True),                               # deeper than any recursion
+], ids=["n0", "n1", "isolated-vertex", "two-cycles", "path-1e5"])
+def test_connected_fixed_cases(g, connected):
+    assert _connected(_adjacency(g)) is connected
+
+
+@pytest.mark.parametrize("g", [
+    petersen_graph(),
+    sample_regular(600, 4, RegularModel.UNIFORM_SIMPLE, 5).graph,
+], ids=["dense", "lanczos"])
+def test_one_sparse_matrix_per_summary(monkeypatch, g):
+    # The solve, its residual recheck and the connectivity check share one adjacency matrix.
+    built = []
+    init = sp.csr_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+    s = spectral_summary(g)
+    assert s.method == ("dense" if g.n <= 400 else "iterative")
+    assert built == [sp.csr_matrix]
 
 
 def test_dense_iterative_cross_validation():
