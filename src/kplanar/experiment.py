@@ -48,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list:
             raise ValueError("empty n grid")
+        if min(self.n_list) < 0:
+            raise ValueError(f"need n >= 0, got n={min(self.n_list)}")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         if self.k < 2:

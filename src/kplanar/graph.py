@@ -1,11 +1,11 @@
 """Immutable undirected simple graphs and the set/cut/restriction queries
 used by every other module.
 
-Vertices are dense integers 0..n-1.  A Graph stores only n and `edges`, a
-read-only (m, 2) int64 array of distinct pairs (u, v), u < v, sorted by
-(u, v).  Derived on first use and cached: `degrees` and the CSR arrays
-`csr = (indptr, indices)`.  All operations here are pure, so instances are
-safe to share between threads.
+Vertices are dense integers 0..n-1, n < 2**31.  A Graph stores only n and
+`edges`, a read-only (m, 2) int64 array of distinct pairs (u, v), u < v,
+sorted by (u, v).  Derived on first use and cached: `degrees` and the CSR
+arrays `csr = (indptr, indices)`.  All operations here are pure, so
+instances are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -41,6 +41,10 @@ def _pair_keys(n: int, endpoints: np.ndarray) -> np.ndarray:
     return np.minimum(u, v) * n + np.maximum(u, v)
 
 
+# Below it, pair keys lo * n + hi stay under 2**62 and vertex ids fit int32.
+_MAX_N = 2**31
+
+
 def _int_array(values, what: str) -> np.ndarray:
     """`values` as int64; GraphError for a non-integer dtype (a cast truncates 0.9 to 0)."""
     a = np.asarray(values)
@@ -64,25 +68,37 @@ class Graph:
         the first bad pair in input order: a self-loop, else out of range, else a repeat."""
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
+        if n >= _MAX_N:
+            raise GraphError(f"vertex count n={n} is not below the limit 2**31 = {_MAX_N}")
         pairs = _int_array(edges if isinstance(edges, np.ndarray) else [*edges], "vertex ids")
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise GraphError(f"edges must be pairs, got an array of shape {pairs.shape}")
-        lohi = np.sort(pairs.reshape(-1, 2), axis=1)
-        # np.unique's sort is stable, so `first` is each key's first occurrence.
-        # An out-of-range pair's key may fake a repeat, but that pair is flagged, and no later.
-        _, first = np.unique(_pair_keys(n, lohi), return_index=True)
-        bad = np.ones(len(lohi), dtype=bool)
-        bad[first] = False
-        bad |= (lohi[:, 0] == lohi[:, 1]) | (lohi[:, 0] < 0) | (lohi[:, 1] >= n)
+        pairs = pairs.reshape(-1, 2)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        keys = np.multiply(lo, n, out=lo)
+        keys += hi
+        del lo, hi
+        # Rows that arrive in key order, as every internal build's do, cost timsort one pass.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # A repeat is a sorted key equal to the one before it; the sort is stable, so it is
+        # the later occurrence.  An out-of-range pair's key may fake a repeat, but that pair
+        # is flagged, and no later.
+        bad[order[np.flatnonzero(keys[1:] == keys[:-1]) + 1]] = True
         if bad.any():
-            u, v = pairs.reshape(-1, 2)[bad.argmax()].tolist()
+            u, v = pairs[bad.argmax()].tolist()
             if u == v:
                 raise GraphError(f"self-loop ({u},{v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"endpoint out of range in ({u},{v}), n={n}")
             raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
+        del order, bad
+        edges = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
         self.n = n
-        self.edges: np.ndarray = _frozen(lohi[first])
+        self.edges: np.ndarray = _frozen(edges)
         self._degrees = self._csr = None
 
     @property
@@ -153,7 +169,7 @@ def induced_subgraph(g: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[back] = np.arange(len(back))
     e = pos[g.edges]
-    return Graph(len(back), e[(e >= 0).all(axis=1)]), back
+    return Graph(len(back), e[(e[:, 0] >= 0) & (e[:, 1] >= 0)]), back
 
 
 @dataclass(frozen=True)

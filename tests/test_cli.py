@@ -422,6 +422,15 @@ def test_experiment_refuses_k_below_2(tmp_path, capsys, model, grid):
     assert not out.exists()  # refused before the first trial
 
 
+def test_experiment_refuses_negative_n(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "experiment", "--model", "gnp", "--n-list", "-3",
+                                "--p-list", "0.5", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: need n >= 0, got n=-3\n"
+    assert not out.exists()  # refused before the first trial
+
+
 def test_experiment_refuses_witness_grid_below_the_floor(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a graph before refusing the grid")

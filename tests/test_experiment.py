@@ -103,6 +103,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="k >= 2"):
             ExperimentConfig(model="matching", n_list=(10,), d_list=(3,), k=1)
 
+    @pytest.mark.parametrize("model,grid", [("gnp", {"p_list": (0.5,)}),
+                                            ("matching", {"d_list": (4,)})])
+    def test_negative_n_is_refused(self, model, grid):
+        with pytest.raises(ValueError, match=re.escape("need n >= 0, got n=-3")):
+            ExperimentConfig(model=model, n_list=(10, -3), **grid)
+
     def test_csv_deterministic(self, tmp_path):
         cfg = small_cfg(n_list=(20, 26), trials=2)
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                            induced_subgraph, random_edge_partition, read_edge_list,
@@ -84,6 +85,57 @@ def test_derived_views_agree_with_edges(case):
 def test_validation_names_first_bad_pair(pairs, message, form):
     with pytest.raises(GraphError, match=re.escape(message)):
         Graph(4, form(pairs))
+
+
+def _scan(n, pairs):
+    """Reference for Graph's validation: the GraphError message a plain-Python
+    scan in input order predicts, else the sorted distinct edges."""
+    seen = set()
+    for u, v in pairs:
+        if u == v:
+            return f"self-loop ({u},{v})"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"endpoint out of range in ({u},{v}), n={n}"
+        if (min(u, v), max(u, v)) in seen:
+            return f"duplicate edge {(min(u, v), max(u, v))}"
+        seen.add((min(u, v), max(u, v)))
+    return sorted(seen)
+
+
+@st.composite
+def raw_pair_lists(draw):
+    """(n, pairs): ids in -2..n+1, so loops and out-of-range ends occur, drawn
+    from a small pool so that pairs repeat, either way round."""
+    n = draw(st.integers(0, 8))
+    ids = st.integers(-2, n + 1)
+    pool = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=10))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pair_lists(), st.sampled_from([list, np.array]))
+def test_validation_matches_a_python_scan(case, form):
+    n, pairs = case
+    want = _scan(n, pairs)
+    if isinstance(want, str):
+        with pytest.raises(GraphError, match=f"^{re.escape(want)}$"):
+            Graph(n, form(pairs))
+    else:
+        assert Graph(n, form(pairs)).edges.tolist() == [list(e) for e in want]
+
+
+@pytest.mark.parametrize("n", [2**31, 2**32 + 1])
+def test_graph_refuses_n_at_the_pair_key_limit(n):
+    # At n = 2**32 + 1 the keys u * n + v of (0, 2**32 - 1) and (2**32 - 1, 2**32) wrap
+    # int64 to the same value.  Construction only: .degrees and .csr allocate n-sized arrays.
+    with pytest.raises(GraphError, match=re.escape(f"n={n} is not below the limit 2**31")):
+        Graph(n, [(0, 2**32 - 1), (2**32 - 1, 2**32)])
+
+
+def test_graph_accepts_the_largest_n():
+    n = 2**31 - 1
+    assert Graph(n, [(n - 1, 0), (n - 2, n - 1)]).edges.tolist() == [[0, n - 1], [n - 2, n - 1]]
 
 
 def test_graph_rejects_non_pairs():
