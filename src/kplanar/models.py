@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _pair_keys
+from .graph import Graph, _graph_of_keys, _pair_keys
 
 __all__ = [
     "RegularModel",
@@ -117,8 +117,8 @@ def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     """Collapse a multigraph edge array of shape (m, 2) to a simple graph.
 
     Returns (graph, collapsed_multiedges, removed_loops).  The references to
-    the raw rows and the keys are dropped before `Graph(...)` runs, so a
-    caller that passes the rows as a temporary frees them for the build.
+    the raw rows and the keys are dropped before the unique keys are decoded,
+    so a caller that passes the rows as a temporary frees them for the build.
     """
     loop = endpoints[:, 0] == endpoints[:, 1]
     loops = int(np.count_nonzero(loop))
@@ -130,15 +130,14 @@ def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
     uniq = keys[first]
     collapsed = int(keys.size - uniq.size)
     del keys, first
-    pairs = np.column_stack((uniq // n, uniq % n))
-    del uniq
-    return Graph(n, pairs), collapsed, loops
+    return _graph_of_keys(n, uniq), collapsed, loops
 
 
 def _simple_pairing_keys(n: int, pairing: np.ndarray) -> np.ndarray | None:
     """The sorted pair keys of a pairing without loops or parallel edges,
     else None: the test `_simplify` passes with (collapsed, loops) == (0, 0),
-    at a fraction of the cost because no Graph is built."""
+    at a fraction of the cost because no Graph is built.  The accepted
+    pairing's graph is `_graph_of_keys(n, keys)`."""
     # Runs once per attempt on a few hundred stubs: the ndarray methods and
     # the in-place sort skip np.any's and np.sort's per-call overhead.
     if (pairing[:, 0] == pairing[:, 1]).any():
@@ -213,8 +212,9 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
         stubs = np.repeat(np.arange(n), d)
         for attempt in range(budget):
             rng.shuffle(stubs)
-            if _simple_pairing_keys(n, stubs.reshape(-1, 2)) is not None:
-                return SampleReport(Graph(n, stubs.reshape(-1, 2)), attempt, 0, 0, seed)
+            keys = _simple_pairing_keys(n, stubs.reshape(-1, 2))
+            if keys is not None:
+                return SampleReport(_graph_of_keys(n, keys), attempt, 0, 0, seed)
         raise SampleError(
             f"UNIFORM_SIMPLE: no simple pairing in {budget} attempts (n={n}, d={d})"
         )

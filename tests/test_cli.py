@@ -113,6 +113,20 @@ def test_spectrum_names_malformed_line(tmp_path, capsys):
     assert err == f"error: {path}:3: expected two integers 'u v', got '1 2 3'\n"
 
 
+@pytest.mark.parametrize("id_text", ["99999999999999999999999", "-9223372036854775809"])
+@pytest.mark.parametrize("partition", [False, True], ids=["edge-list", "edge-partition"])
+def test_edge_file_id_outside_int64_names_its_line(tmp_path, capsys, id_text, partition):
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 1\n0 {id_text}\n")
+    ppath = tmp_path / "classes.txt"
+    ppath.write_text("0\n")
+    argv = (["witness", "--in", str(path), "--k", "2", "--partition", str(ppath)] if partition
+            else ["spectrum", "--in", str(path)])
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {path}:2: integer outside int64 in 'u v', got '0 {id_text}'\n"
+
+
 @pytest.mark.parametrize("command, removed", [
     ("sample", ["--format", "json"]),
     ("spectrum", ["--full"]),

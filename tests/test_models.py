@@ -4,14 +4,33 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kplanar.models
-from kplanar.graph import Graph
+from kplanar.graph import Graph, _graph_of_keys
 from kplanar.models import (RegularModel, SampleError, _simple_pairing_keys, _simplify,
                             check_uniform_simple, max_degree_ok, sample_gnp,
                             sample_regular)
 
 from conftest import complete_graph
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    """The n of each graph the samplers build through `_graph_of_keys`, in
+    call order; a call of `Graph.__init__` fails the test."""
+    built = []
+
+    def counting_build(n, keys):
+        built.append(n)
+        return _graph_of_keys(n, keys)
+
+    def no_init(*args):
+        raise AssertionError("Graph.__init__ was called")
+
+    monkeypatch.setattr(kplanar.models, "_graph_of_keys", counting_build)
+    monkeypatch.setattr(Graph, "__init__", no_init)
+    return built
 
 
 class TestGnp:
@@ -108,6 +127,18 @@ class TestRegularModels:
         assert rep.graph == Graph(10, [])
         assert (rep.rejected_attempts, rep.collapsed_multiedges, rep.removed_loops) == (0, 0, 0)
 
+    @pytest.mark.parametrize("model", [RegularModel.PERMUTATION, RegularModel.FULL_CYCLE,
+                                       RegularModel.MATCHING])
+    def test_one_graph_built_per_sample(self, monkeypatch, model):
+        built = _count_builds(monkeypatch)
+        collapsed = 0
+        for seed in range(5):
+            built.clear()
+            rep = sample_regular(60, 4, model, seed)
+            collapsed += rep.collapsed_multiedges + rep.removed_loops
+            assert built == [60]
+        assert collapsed > 0
+
     def test_union_corpus_pinned(self):
         # SHA-256 over edges.tobytes() and the sorted to_dict() items of every
         # valid (model, n, d, seed) below.  It pins the draw order of the union
@@ -161,13 +192,7 @@ class TestUniformSimpleRejection:
         assert set(rep.graph.degrees) == {d}
 
     def test_one_graph_built_per_sample(self, monkeypatch):
-        built = []
-
-        def counting_graph(*args, **kwargs):
-            built.append(args[0])
-            return Graph(*args, **kwargs)
-
-        monkeypatch.setattr(kplanar.models, "Graph", counting_graph)
+        built = _count_builds(monkeypatch)
         for seed in range(5):
             built.clear()
             rep = sample_regular(50, 4, RegularModel.UNIFORM_SIMPLE, seed)
@@ -203,6 +228,7 @@ class TestUniformSimpleRejection:
             assert (keys is not None) is simple
             if simple:
                 assert [[k // n, k % n] for k in keys.tolist()] == g.edges.tolist()
+                assert _graph_of_keys(n, keys) == Graph(n, pairing)
             outcomes.add(simple)
         assert outcomes == {True, False}
 
@@ -225,6 +251,34 @@ class TestUniformSimpleRejection:
                "over the budget of 1000000")
         with pytest.raises(SampleError, match=re.escape(msg)):
             sample_regular(n, d, RegularModel.UNIFORM_SIMPLE, 0)
+
+
+@st.composite
+def multigraph_rows(draw):
+    """(n, rows): rows on 0..n-1 drawn from a small pool, so loops and
+    repeats either way round occur."""
+    n = draw(st.integers(1, 8))
+    ids = st.integers(0, n - 1)
+    pool = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=12))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_rows())
+def test_simplify_matches_a_python_scan(case):
+    n, rows = case
+    g, collapsed, loops = _simplify(n, np.array(rows, dtype=np.int64).reshape(-1, 2))
+    distinct = {(min(u, v), max(u, v)) for u, v in rows if u != v}
+    assert g == Graph(n, sorted(distinct))
+    assert loops == sum(u == v for u, v in rows)
+    assert collapsed == len(rows) - loops - len(distinct)
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+    indptr, indices = g.csr
+    for u in range(n):
+        nbrs = sorted({b for a, b in distinct if a == u} | {a for a, b in distinct if b == u})
+        assert indices[indptr[u]:indptr[u + 1]].tolist() == nbrs
+        assert g.degrees[u] == len(nbrs)
 
 
 class TestTailFormulas:

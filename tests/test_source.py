@@ -105,6 +105,16 @@ def test_every_export_is_used_outside_tests():
     assert sorted(unused) == sorted(UNREFERENCED_EXPORTS)
 
 
+def test_only_graph_builds_unvalidated_graphs():
+    # `Graph.__new__` skips `Graph.__init__`'s checks; `graph._graph_of_keys` is the
+    # one place that may call it, for keys already ascending, distinct and loop-free.
+    callers = {path.name
+               for path in sorted(SRC.glob("**/*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Attribute) and node.attr == "__new__"}
+    assert callers == {"graph.py"}
+
+
 # Modules that may pass axis=1, each with the reason.  On 36k (m, 2) edge rows
 # (2-vCPU Xeon VM) a sort / an `all` along axis 1 took 1.0 / 0.58 ms, against
 # 0.04 / 0.09 ms for the same work on the two columns.
