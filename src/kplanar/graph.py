@@ -33,12 +33,11 @@ class GraphError(ValueError):
     """Invalid graph construction or query."""
 
 
-def _pair_keys(n: int, endpoints: np.ndarray) -> np.ndarray:
-    """The int64 key min(u, v) * n + max(u, v) of each row (u, v) of an
-    (m, 2) endpoint array; equal keys mean parallel edges, and sorting by
-    key sorts the normalised pairs by (u, v)."""
-    u = endpoints[:, 0].astype(np.int64, copy=False)
-    v = endpoints[:, 1]
+def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The int64 key min(u, v) * n + max(u, v) of each pair (u[i], v[i]);
+    equal keys mean parallel edges, and sorting by key sorts the normalised
+    pairs by (u, v)."""
+    u = u.astype(np.int64, copy=False)
     return np.minimum(u, v) * n + np.maximum(u, v)
 
 
@@ -308,4 +307,4 @@ def read_edge_partition(edge_path: str, class_path: str, k: int) -> tuple[Graph,
     if len(classes) != len(pairs):
         raise GraphError(f"partition file has {len(classes)} lines, graph has {len(pairs)} edges")
     # Graph sorts the pairs by key, so the same sort aligns the classes.
-    return g, EdgePartition(k, classes[np.argsort(_pair_keys(n, pairs))])
+    return g, EdgePartition(k, classes[np.argsort(_pair_keys(n, pairs[:, 0], pairs[:, 1]))])

@@ -2,15 +2,15 @@
 
 G(n, p) uses geometric skip sampling, so cost scales with the number of
 edges rather than with C(n, 2).  PERMUTATION, FULL_CYCLE and MATCHING are
-one construction, the union of d/2 or d seeded permutations, drawn by one
-builder into one array; their loops are removed and parallel edges
-collapsed, with both counts reported.  UNIFORM_SIMPLE instead rejects every
-pairing with a loop or a parallel edge, tests each in numpy and builds a
-Graph only for the accepted one, reports the rejections as
+one construction, the union of d/2 or d seeded permutations, keyed as drawn
+by one builder into one int64 array; their loops are removed and parallel
+edges collapsed, with both counts reported.  UNIFORM_SIMPLE instead rejects
+every non-simple pairing in numpy, reports the rejections as
 `rejected_attempts`, and refuses at call time any d (d >= 8) whose expected
-attempt count exceeds its budget.  Every sampler returns a simple graph and
-is a pure function of (parameters, seed); d = 0 gives the edgeless graph in
-every regular model.
+attempt count exceeds its budget.  Every sampler refuses n >= 2**31 before
+allocating, hands pair keys to the one decode, `graph._graph_of_keys`,
+returns a simple graph and is a pure function of (parameters, seed); d = 0
+gives the edgeless graph in every regular model.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _graph_of_keys, _pair_keys
+from .graph import _MAX_N, Graph, _graph_of_keys, _pair_keys
 
 __all__ = [
     "RegularModel",
@@ -74,14 +74,9 @@ class SampleReport:
         }
 
 
-def _pair_of_index(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Linear index over pairs (u, v), u < v, ordered by (u, v).
-    # first[u] = number of pairs whose smaller endpoint is < u.
-    us = np.arange(n, dtype=np.int64)
-    first = us * n - us * (us + 1) // 2
-    u = np.searchsorted(first, idx, side="right") - 1
-    v = idx - first[u] + u + 1
-    return u, v
+def _refuse_large_n(n: int) -> None:
+    if n >= _MAX_N:
+        raise SampleError(f"vertex count n={n} is not below the limit 2**31 = {_MAX_N}")
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -89,42 +84,53 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     with probability p.  Deterministic given seed."""
     if n < 0:
         raise SampleError(f"negative vertex count n={n}")
+    _refuse_large_n(n)
     if not 0.0 <= p <= 1.0:
         raise SampleError(f"p={p} outside [0, 1]")
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
-        return Graph(n, [])
+        return _graph_of_keys(n, np.empty(0, dtype=np.int64))
     rng = np.random.default_rng(seed)
     # Geometric skips over the linearized pair indices; fixed chunk schedule
     # keeps the draw sequence (hence the graph) independent of edge count.
     chunk = max(1024, int(total * p * 1.25) + 64)
     positions: list[np.ndarray] = []
     base = -1
-    while True:
-        skips = rng.geometric(p, size=chunk)
-        pos = base + np.cumsum(skips)
+    while base < total - 1:
+        pos = np.cumsum(rng.geometric(p, size=chunk))
+        pos += base
         positions.append(pos)
         base = int(pos[-1])
-        if base >= total - 1:
-            break
         chunk = 4096
     idx = np.concatenate(positions)
+    del positions, pos
     idx = idx[idx < total]
-    return Graph(n, np.column_stack(_pair_of_index(n, idx)))
+    # first[u] = number of pairs whose smaller endpoint is < u.  Index i is the
+    # pair (u, v = i - first[u] + u + 1), so its key u * n + v is i plus the
+    # shift u * (n + 1) + 1 - first[u], and ascending indices give ascending keys.
+    us = np.arange(n, dtype=np.int64)
+    first = us * n - us * (us + 1) // 2
+    idx += (us * (n + 1) + 1 - first)[np.searchsorted(first, idx, side="right") - 1]
+    return _graph_of_keys(n, idx)
 
 
-def _simplify(n: int, endpoints: np.ndarray) -> tuple[Graph, int, int]:
-    """Collapse a multigraph edge array of shape (m, 2) to a simple graph.
+def _multigraph_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pair key of each row (u[i], v[i]) of a multigraph, or -1 for a
+    loop, which sorts first: the form `_simplify` takes."""
+    keys = _pair_keys(n, u, v)
+    keys[u == v] = -1
+    return keys
 
-    Returns (graph, collapsed_multiedges, removed_loops).  The references to
-    the raw rows and the keys are dropped before the unique keys are decoded,
-    so a caller that passes the rows as a temporary frees them for the build.
+
+def _simplify(n: int, keys: np.ndarray) -> tuple[Graph, int, int]:
+    """The simple graph of a multigraph's `_multigraph_keys`, which are sorted
+    here in place.  Returns (graph, collapsed_multiedges, removed_loops).  Only
+    the unique keys are held during the decode, so a caller that passes `keys`
+    as a temporary frees them for the build.
     """
-    loop = endpoints[:, 0] == endpoints[:, 1]
-    loops = int(np.count_nonzero(loop))
-    keys = _pair_keys(n, endpoints)[~loop]
-    del endpoints, loop
     keys.sort()
+    loops = int(np.searchsorted(keys, 0))
+    keys = keys[loops:]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     uniq = keys[first]
@@ -140,34 +146,33 @@ def _simple_pairing_keys(n: int, pairing: np.ndarray) -> np.ndarray | None:
     pairing's graph is `_graph_of_keys(n, keys)`."""
     # Runs once per attempt on a few hundred stubs: the ndarray methods and
     # the in-place sort skip np.any's and np.sort's per-call overhead.
-    if (pairing[:, 0] == pairing[:, 1]).any():
+    u, v = pairing[:, 0], pairing[:, 1]
+    if (u == v).any():
         return None
-    keys = _pair_keys(n, pairing)
+    keys = _pair_keys(n, u, v)
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         return None
     return keys
 
 
-def _union_edges(rng: np.random.Generator, n: int, d: int, model: RegularModel) -> np.ndarray:
-    """The raw (m, 2) rows of a union model, loops and parallel edges kept:
-    block r holds the pairs that the r-th `rng.permutation(n)` defines."""
+def _union_keys(rng: np.random.Generator, n: int, d: int, model: RegularModel) -> np.ndarray:
+    """The `_multigraph_keys` of a union model's rows, loops and parallel edges
+    kept: block r keys the pairs that the r-th `rng.permutation(n)` defines."""
     if model is RegularModel.MATCHING:
-        out = np.empty((d, n // 2, 2), dtype=np.int64)
+        keys = np.empty((d, n // 2), dtype=np.int64)
     else:
-        out = np.empty((d // 2, n, 2), dtype=np.int64)
-    for block in out:
+        keys = np.empty((d // 2, n), dtype=np.int64)
+    for block in keys:
         perm = rng.permutation(n)
         if model is RegularModel.PERMUTATION:
-            block[:, 0] = np.arange(n)
-            block[:, 1] = perm
+            block[:] = _multigraph_keys(n, np.arange(n), perm)
         elif model is RegularModel.FULL_CYCLE:
             # perm read as a cyclic order gives a uniform n-cycle.
-            block[:, 0] = perm
-            block[:, 1] = np.roll(perm, -1)
+            block[:] = _multigraph_keys(n, perm, np.roll(perm, -1))
         else:
-            block[:] = perm.reshape(-1, 2)
-    return out.reshape(-1, 2)
+            block[:] = _multigraph_keys(n, perm[0::2], perm[1::2])
+    return keys.ravel()
 
 
 def check_uniform_simple(d: int) -> int:
@@ -197,6 +202,7 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     `check_uniform_simple(d)` refuses d, and after drawing when the budget
     runs out.
     """
+    _refuse_large_n(n)
     if d >= n:
         raise SampleError(f"need d < n, got d={d}, n={n}")
     if d < 0:
@@ -224,7 +230,7 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
             raise SampleError(f"MATCHING requires even n, got {n}")
     elif d % 2:
         raise SampleError(f"{model.name} requires even d, got {d}")
-    g, collapsed, loops = _simplify(n, _union_edges(rng, n, d, model))
+    g, collapsed, loops = _simplify(n, _union_keys(rng, n, d, model))
     return SampleReport(g, 0, collapsed, loops, seed)
 
 

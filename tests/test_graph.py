@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                            induced_subgraph, random_edge_partition, read_edge_list,
                            write_edge_list)
-from kplanar.models import _simplify
+from kplanar.models import _multigraph_keys, _simplify
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, simple_edge_lists
 
@@ -27,13 +27,15 @@ def test_from_edge_list_k4():
 
 def test_from_edge_list_collapses_duplicates():
     # Graph rejects repeats; the union samplers' collapse is where they are counted.
-    g, dups, loops = _simplify(3, np.array([(0, 1), (1, 0), (0, 1), (1, 2)]))
+    rows = np.array([(0, 1), (1, 0), (0, 1), (1, 2)])
+    g, dups, loops = _simplify(3, _multigraph_keys(3, *rows.T))
     assert (dups, loops) == (2, 0)
     assert g.num_edges == 2
 
 
 def test_simplify_of_loops_only():
-    g, dups, loops = _simplify(3, np.array([(0, 0), (2, 2), (2, 2)]))
+    rows = np.array([(0, 0), (2, 2), (2, 2)])
+    g, dups, loops = _simplify(3, _multigraph_keys(3, *rows.T))
     assert (g.num_edges, dups, loops) == (0, 0, 3)
 
 

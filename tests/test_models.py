@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import kplanar.models
 from kplanar.graph import Graph, _graph_of_keys
-from kplanar.models import (RegularModel, SampleError, _simple_pairing_keys, _simplify,
-                            check_uniform_simple, max_degree_ok, sample_gnp,
+from kplanar.models import (RegularModel, SampleError, _multigraph_keys, _simple_pairing_keys,
+                            _simplify, check_uniform_simple, max_degree_ok, sample_gnp,
                             sample_regular)
 
 from conftest import complete_graph
@@ -31,6 +32,17 @@ def _count_builds(monkeypatch) -> list[int]:
     monkeypatch.setattr(kplanar.models, "_graph_of_keys", counting_build)
     monkeypatch.setattr(Graph, "__init__", no_init)
     return built
+
+
+def _traced_peak_per_edge(sample) -> float:
+    """The tracemalloc peak of `sample()`, which returns a Graph, per edge of that graph."""
+    tracemalloc.start()
+    try:
+        g = sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / g.num_edges
 
 
 class TestGnp:
@@ -62,6 +74,31 @@ class TestGnp:
         for c in counts:
             assert abs(c - total * p) < 4 * sigma
         assert abs(np.mean(counts) - total * p) < sigma
+
+    def test_gnp_corpus_pinned(self):
+        # SHA-256 over repr((n, g.n)) and edges.tobytes() of every (n, p, seed)
+        # below: it pins the skip draws and the pair order, so seeded gnp sweeps
+        # stay byte-identical across versions.
+        h = hashlib.sha256()
+        for n in (0, 1, 2, 3, 10, 57, 300, 2000):
+            for p in (0, 0.01, 0.3, 1):
+                for seed in range(4):
+                    g = sample_gnp(n, p, seed)
+                    h.update(repr((n, g.n)).encode() + g.edges.tobytes())
+        assert h.hexdigest() == "7dab8de60ffb856ee1a9495ca142a681966d472fec9c4c326b84ec74863ecb6e"
+
+    @pytest.mark.parametrize("n,p", [(0, 0.5), (1, 0.5), (60, 0.0), (60, 0.1), (60, 1.0)])
+    def test_one_graph_built_per_sample(self, monkeypatch, n, p):
+        built = _count_builds(monkeypatch)
+        for seed in range(3):
+            built.clear()
+            sample_gnp(n, p, seed)
+            assert built == [n]
+
+    def test_peak_memory_per_edge(self):
+        # The decode holds 24 B per edge (8 of keys, 16 of edges); the skip draws
+        # are dropped before it and the indices become keys in place.
+        assert _traced_peak_per_edge(lambda: sample_gnp(4000, 0.025, 1)) <= 36
 
     def test_pair_indicator_frequency(self):
         # fixed pair (0, 1) over many seeds has empirical frequency ~ p
@@ -139,6 +176,13 @@ class TestRegularModels:
             assert built == [60]
         assert collapsed > 0
 
+    @pytest.mark.parametrize("model", [RegularModel.PERMUTATION, RegularModel.FULL_CYCLE,
+                                       RegularModel.MATCHING])
+    def test_peak_memory_per_edge(self, model):
+        # The decode holds 24 B per edge (8 of keys, 16 of edges); rows are keyed
+        # as drawn, 8 B each, and only the unique keys outlive the sort.
+        assert _traced_peak_per_edge(lambda: sample_regular(4000, 100, model, 1).graph) <= 26
+
     def test_union_corpus_pinned(self):
         # SHA-256 over edges.tobytes() and the sorted to_dict() items of every
         # valid (model, n, d, seed) below.  It pins the draw order of the union
@@ -207,7 +251,7 @@ class TestUniformSimpleRejection:
     ])
     def test_rejection_matches_simplify_by_hand(self, pairs, simple):
         pairing = np.array(pairs, dtype=np.int64)
-        g, collapsed, loops = _simplify(4, pairing)
+        g, collapsed, loops = _simplify(4, _multigraph_keys(4, *pairing.T))
         assert ((collapsed, loops) == (0, 0)) is simple
         keys = _simple_pairing_keys(4, pairing)
         assert (keys is not None) is simple
@@ -222,7 +266,7 @@ class TestUniformSimpleRejection:
         for _ in range(300):
             rng.shuffle(stubs)
             pairing = stubs.reshape(-1, 2)
-            g, collapsed, loops = _simplify(n, pairing)
+            g, collapsed, loops = _simplify(n, _multigraph_keys(n, *pairing.T))
             keys = _simple_pairing_keys(n, pairing)
             simple = (collapsed, loops) == (0, 0)
             assert (keys is not None) is simple
@@ -268,7 +312,8 @@ def multigraph_rows(draw):
 @given(multigraph_rows())
 def test_simplify_matches_a_python_scan(case):
     n, rows = case
-    g, collapsed, loops = _simplify(n, np.array(rows, dtype=np.int64).reshape(-1, 2))
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    g, collapsed, loops = _simplify(n, _multigraph_keys(n, *columns))
     distinct = {(min(u, v), max(u, v)) for u, v in rows if u != v}
     assert g == Graph(n, sorted(distinct))
     assert loops == sum(u == v for u, v in rows)
@@ -279,6 +324,22 @@ def test_simplify_matches_a_python_scan(case):
         nbrs = sorted({b for a, b in distinct if a == u} | {a for a, b in distinct if b == u})
         assert indices[indptr[u]:indptr[u + 1]].tolist() == nbrs
         assert g.degrees[u] == len(nbrs)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n: sample_gnp(n, 0.0, 0),
+    lambda n: sample_gnp(n, 0.5, 0),
+    *[lambda n, model=model: sample_regular(n, 0, model, 0) for model in RegularModel],
+], ids=["gnp-p0", "gnp", *[model.value for model in RegularModel]])
+def test_vertex_limit_refused_before_drawing(monkeypatch, sample):
+    # Past the limit the n-slot arrays alone take 16 GiB, so nothing may be drawn.
+    def no_draw(*args):
+        raise AssertionError("a sampler drew before checking n")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    n = 2**31
+    with pytest.raises(SampleError, match=re.escape(f"n={n} is not below the limit 2**31")):
+        sample(n)
 
 
 class TestTailFormulas:
