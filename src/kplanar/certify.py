@@ -225,8 +225,10 @@ def estimate_pair_density(g: Graph, k: int) -> dict:
     over 500 seeded random pairs of size-t sets."""
     n = g.n
     t, t_ok = set_size_t(n, k)
-    p_hat = g.num_edges / (n * (n - 1) / 2) if n > 1 else 0.0
-    if n <= BRUTE_CAP and t <= n // 2:
+    if n < 2 * t:
+        raise GraphError(f"pair density needs two disjoint size-t sets, got n={n} < 2t, t={t}")
+    p_hat = g.num_edges / (n * (n - 1) / 2)
+    if n <= BRUTE_CAP:
         min_density = brute_min_pair_density(g, t)
         method = "exhaustive"
     else:

@@ -3,9 +3,8 @@ used by every other module.
 
 Vertices are dense integers 0..n-1, n < 2**31.  A Graph stores only n and
 `edges`, a read-only (m, 2) int64 array of distinct pairs (u, v), u < v,
-sorted by (u, v).  Derived on first use and cached: `degrees` and the CSR
-arrays `csr = (indptr, indices)`.  All operations here are pure, so
-instances are safe to share between threads.
+sorted by (u, v), and caches only `degrees`, derived on first use.  All
+operations here are pure, so instances are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -61,7 +60,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_degrees", "_csr")
+    __slots__ = ("n", "edges", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         """`edges`: pairs either way round, as an iterable or an (m, 2) array.  GraphError names
@@ -96,7 +95,7 @@ class Graph:
             raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
         del order, bad
         g = _graph_of_keys(n, keys)
-        self.n, self.edges, self._degrees, self._csr = g.n, g.edges, None, None
+        self.n, self.edges, self._degrees = g.n, g.edges, None
 
     @property
     def num_edges(self) -> int:
@@ -107,17 +106,6 @@ class Graph:
         if self._degrees is None:
             self._degrees = _frozen(np.bincount(self.edges.ravel(), minlength=self.n))
         return self._degrees
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): u's ascending neighbours are indices[indptr[u]:indptr[u + 1]]."""
-        if self._csr is None:
-            # Row r lists its smaller neighbours (edges (w, r), w ascending), then its larger
-            # ones (edges (r, w)): a stable sort by row keeps both runs, so each row ascends.
-            order = np.argsort(self.edges.T[::-1].ravel(), kind="stable")
-            indptr = np.concatenate(([0], np.cumsum(self.degrees)))
-            self._csr = (_frozen(indptr), _frozen(self.edges.T.ravel()[order]))
-        return self._csr
 
     @property
     def max_degree(self) -> int:
@@ -145,8 +133,18 @@ def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
     g = Graph.__new__(Graph)
     g.n = n
     g.edges = _frozen(edges)
-    g._degrees = g._csr = None
+    g._degrees = None
     return g
+
+
+def _neighbours(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """g's CSR arrays (indptr, indices), derived afresh on each call: u's neighbours are
+    indices[indptr[u]:indptr[u + 1]], ascending, as a stable sort of the edge ends keeps
+    each row's smaller neighbours (edges (w, u)) before its larger ones (edges (u, w))."""
+    ends = g.edges.ravel()  # the other end of ends[i] is ends[i ^ 1]
+    order = np.argsort(ends, kind="stable")
+    order ^= 1
+    return np.concatenate(([0], np.cumsum(g.degrees))), ends[order]
 
 
 def cut_size(g: Graph, X: Iterable[int], Y: Iterable[int]) -> int:

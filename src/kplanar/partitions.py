@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Bipartition, EdgePartition, Graph, GraphError, cut_size, induced_subgraph
+from .graph import (Bipartition, EdgePartition, Graph, GraphError, _neighbours, cut_size,
+                    induced_subgraph)
 
 __all__ = [
     "BisectionResult",
@@ -201,7 +202,7 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
     if restarts < 1:
         raise GraphError(f"local search needs restarts >= 1, got {restarts}")
     lo = _min_side(n)
-    csr = tuple(a.tolist() for a in g.csr)
+    csr = tuple(a.tolist() for a in _neighbours(g))
     rng = np.random.default_rng(seed)
     best: tuple[int, list[bool]] | None = None
     for _ in range(restarts):

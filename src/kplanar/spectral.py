@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph
+from .graph import Graph, _neighbours
 
 __all__ = [
     "SpectralSummary",
@@ -87,7 +87,7 @@ class SpectralSummary:
 
 def _adjacency(g: Graph) -> sp.csr_matrix:
     """g's adjacency matrix on its CSR arrays: the one place a Graph becomes a matrix."""
-    indptr, indices = g.csr
+    indptr, indices = _neighbours(g)
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
 
 

@@ -379,6 +379,15 @@ def test_certify_irregular_is_estimate(tmp_path, capsys):
     assert "threshold_half_binom" in est and "threshold_half_square" in est
 
 
+def test_certify_refuses_a_graph_too_small_for_two_sets(tmp_path, capsys):
+    # The empty graph is not regular, so it takes the estimate path, which needs 2t vertices.
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    code, stdout, err = run_cli(capsys, "certify", "--in", str(path), "--k", "2")
+    assert (code, stdout) == (1, "")
+    assert err == "error: pair density needs two disjoint size-t sets, got n=0 < 2t, t=1\n"
+
+
 def test_experiment_and_fit(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run_cli(capsys, "experiment", "--model", "matching",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
+from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, _neighbours, cut_size,
                            induced_subgraph, random_edge_partition, read_edge_list,
                            write_edge_list)
 from kplanar.models import _multigraph_keys, _simplify
@@ -65,7 +65,7 @@ def test_derived_views_agree_with_edges(case):
     want = sorted((min(p), max(p)) for p in pairs)
     assert [tuple(e) for e in g.edges.tolist()] == want
     assert g.num_edges == len(want)
-    indptr, indices = g.csr
+    indptr, indices = _neighbours(g)
     assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == 2 * len(want)
     for u in range(n):
         nbrs = sorted([b for a, b in want if a == u] + [a for a, b in want if b == u])
@@ -130,7 +130,7 @@ def test_validation_matches_a_python_scan(case, form):
 @pytest.mark.parametrize("n", [2**31, 2**32 + 1])
 def test_graph_refuses_n_at_the_pair_key_limit(n):
     # At n = 2**32 + 1 the keys u * n + v of (0, 2**32 - 1) and (2**32 - 1, 2**32) wrap
-    # int64 to the same value.  Construction only: .degrees and .csr allocate n-sized arrays.
+    # int64 to the same value.  Construction only: degrees and neighbours take n-sized arrays.
     with pytest.raises(GraphError, match=re.escape(f"n={n} is not below the limit 2**31")):
         Graph(n, [(0, 2**32 - 1), (2**32 - 1, 2**32)])
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kplanar.partitions
-from kplanar.graph import (Bipartition, Graph, GraphError,
+from kplanar.graph import (Bipartition, Graph, GraphError, _neighbours,
                            cut_size, random_edge_partition)
 from kplanar.models import RegularModel, sample_gnp, sample_regular
 from kplanar.partitions import (_cut_and_gains, _improving_swap, exact_bisection, lemma1_split,
@@ -267,7 +267,7 @@ class TestLocalSearch:
         order = data.draw(st.permutations(range(g.n)))
         delta, swapped = first_improving_swap(g, side, order)
         got, gain = list(side), _cut_and_gains(g, np.array(side))[1]
-        csr = tuple(a.tolist() for a in g.csr)
+        csr = tuple(a.tolist() for a in _neighbours(g))
         assert _improving_swap(got, gain, csr, order) == delta
         assert got == swapped
         assert gain == _cut_and_gains(g, np.array(swapped))[1]

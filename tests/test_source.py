@@ -6,6 +6,7 @@ import pathlib
 import re
 
 from kplanar.cli import build_parser
+from kplanar.graph import Graph
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kplanar"
 
@@ -54,6 +55,19 @@ SCIPY_IMPORTERS = {
 
 def test_only_spectral_imports_scipy():
     assert _importers("scipy") == set(SCIPY_IMPORTERS)
+
+
+# Graph's attributes, each with the reason it is kept; a new cache on every graph is a
+# declared change.
+GRAPH_SLOTS = {
+    "n": "the vertex count",
+    "edges": "the one graph representation: sorted, distinct pairs (u, v), u < v",
+    "_degrees": "n values, read by the regularity checks, `_neighbours` and every certificate",
+}
+
+
+def test_graph_keeps_only_its_edges_and_degrees():
+    assert Graph.__slots__ == tuple(GRAPH_SLOTS)
 
 
 # Public names that nothing outside tests/ uses, each with the reason it stays public.

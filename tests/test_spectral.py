@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,47 @@ def test_one_sparse_matrix_per_summary(monkeypatch, g):
     s = spectral_summary(g)
     assert s.method == ("dense" if g.n <= 400 else "iterative")
     assert built == [sp.csr_matrix]
+
+
+@pytest.fixture
+def permutation_2e5():
+    g = sample_regular(20000, 20, RegularModel.PERMUTATION, 1).graph
+    g.degrees  # the graph's one cache, filled here so that no test below counts it
+    return g
+
+
+def _traced(call) -> tuple[int, int]:
+    """(bytes still traced when `call()` returns, with its result alive; traced peak)."""
+    tracemalloc.start()
+    try:
+        result = call()  # alive until the reading below
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_summary_leaves_nothing_on_the_graph(permutation_2e5):
+    # The neighbour arrays live only as long as the solve; cached on the graph they would
+    # hold 16 B per edge for its lifetime.
+    g = permutation_2e5
+    held, _ = _traced(lambda: spectral_summary(g))
+    assert held / g.num_edges <= 1
+
+
+def test_adjacency_peak_per_edge(permutation_2e5):
+    # 40 B per edge at the peak: the int64 neighbour indices (16), the matrix's float64
+    # data (16) and scipy's int32 copy of the indices (8).
+    g = permutation_2e5
+    _, peak = _traced(lambda: _adjacency(g))
+    assert peak / g.num_edges <= 44
+
+
+@pytest.mark.parametrize("n,mu_safe", [(401, "4.44317217811298"), (2000, "4.45320533348793")])
+def test_lanczos_mu_safe_digits_pinned(n, mu_safe):
+    # The same digits under one and two OpenBLAS threads at these sizes.  A Lanczos operator
+    # that rounds A x differently (U x + U^T x, say) moves them, as a declared change.
+    s = spectral_summary(sample_regular(n, 6, RegularModel.PERMUTATION, 1).graph)
+    assert (s.method, repr(s.mu_safe)) == ("iterative", mu_safe)
 
 
 def test_dense_iterative_cross_validation():
