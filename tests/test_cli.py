@@ -77,6 +77,16 @@ def test_spectrum_full(tmp_path, capsys):
     assert len(summary["full_spectrum"]) == 4
 
 
+@pytest.mark.parametrize("n,lanczos", [(400, False), (401, True)])
+def test_spectrum_reports_matvecs(tmp_path, capsys, n, lanczos):
+    path = str(tmp_path / "g.txt")
+    write_edge_list(path, sample_regular(n, 6, RegularModel.PERMUTATION, 1).graph)
+    code, stdout, _ = run_cli(capsys, "spectrum", "--in", path)
+    summary = json.loads(stdout)
+    assert code == 0 and summary["method"] == ("iterative" if lanczos else "dense")
+    assert (summary["matvecs"] > 0) is lanczos
+
+
 def test_spectrum_and_certify_agree_on_mu_safe(tmp_path, capsys):
     path = str(tmp_path / "u.txt")
     write_edge_list(path, sample_regular(300, 4, RegularModel.UNIFORM_SIMPLE, 7).graph)

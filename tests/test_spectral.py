@@ -1,16 +1,21 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+import kplanar.spectral
 from kplanar.graph import Graph
 from kplanar.models import RegularModel, sample_regular
-from kplanar.spectral import (TOL, SpectralError, _adjacency, _connected, friedman_check,
-                              mu_bound, spectral_summary, spectrum_full)
+from kplanar.spectral import (POWER_BELOW_DEGREE, TOL, SpectralError, _adjacency, _connected,
+                              friedman_check, mu_bound, spectral_summary, spectrum_full)
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph, path_graph,
                       petersen_graph, random_graph, simple_edge_lists)
@@ -189,12 +194,73 @@ def test_adjacency_peak_per_edge(permutation_2e5):
     assert peak / g.num_edges <= 44
 
 
-@pytest.mark.parametrize("n,mu_safe", [(401, "4.44317217811298"), (2000, "4.45320533348793")])
-def test_lanczos_mu_safe_digits_pinned(n, mu_safe):
+LANCZOS_PINS = {401: "4.443172178112977", 2000: "4.453205333487971"}
+
+
+def _pinned_mu_safe(n: int) -> tuple[str, str]:
+    s = spectral_summary(sample_regular(n, 6, RegularModel.PERMUTATION, 1).graph)
+    return s.method, repr(s.mu_safe)
+
+
+@pytest.mark.parametrize("n", sorted(LANCZOS_PINS))
+def test_lanczos_mu_safe_digits_pinned(n):
     # The same digits under one and two OpenBLAS threads at these sizes.  A Lanczos operator
     # that rounds A x differently (U x + U^T x, say) moves them, as a declared change.
-    s = spectral_summary(sample_regular(n, 6, RegularModel.PERMUTATION, 1).graph)
-    assert (s.method, repr(s.mu_safe)) == ("iterative", mu_safe)
+    assert _pinned_mu_safe(n) == ("iterative", LANCZOS_PINS[n])
+
+
+def test_lanczos_mu_safe_digits_pinned_at_one_thread():
+    # The benchmark runs one BLAS thread, and the thread count can change how OpenBLAS
+    # rounds, so the pins are recomputed in a fresh process that starts with one thread.
+    paths = [str(Path(__file__).parent), str(Path(kplanar.__file__).parents[1])]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}
+    code = "import test_spectral as t; print({n: t._pinned_mu_safe(n) for n in t.LANCZOS_PINS})"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == repr({n: ("iterative", pin) for n, pin in LANCZOS_PINS.items()})
+
+
+def _circulant(n: int, offsets) -> Graph:
+    return Graph(n, [(i, (i + o) % n) for i in range(n) for o in offsets])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _bipartite(300, 400, 0.015, 16),
+    lambda: Graph(500, [(0, i) for i in range(1, 500)]),
+    lambda: cycle_graph(1000),
+], ids=["bipartite-700", "star-500", "cycle-1000"])
+def test_power_path_keeps_both_signs(make):
+    # A^4 maps lambda and -lambda to one eigenvalue; on these symmetric spectra the
+    # Rayleigh-Ritz step on span(V, AV) must still report mu = lambda1.
+    g = make()
+    assert 2 * g.num_edges < POWER_BELOW_DEGREE * g.n  # the A^4 path
+    s = spectral_summary(g)
+    assert s.method == "iterative" and s.residual <= TOL * max(1, g.max_degree)
+    assert abs(s.mu - s.lambda1) <= 2 * s.residual
+
+
+def test_plain_path_digits_pinned():
+    # At average degree POWER_BELOW_DEGREE and above, Lanczos runs on A itself, with the
+    # same operator products, start vector, ncv and budget as before the A^4 path existed;
+    # these reprs were recorded then, under one and two OpenBLAS threads.
+    g = sample_regular(1500, 30, RegularModel.PERMUTATION, 3).graph
+    assert 2 * g.num_edges >= POWER_BELOW_DEGREE * g.n
+    s = mu_bound(g)
+    assert (repr(s.lambda1), repr(s.mu), repr(s.residual), repr(s.mu_safe)) == (
+        "29.742669429034322", "10.691228836987195", "4.263892432392673e-14",
+        "10.691228836987237")
+    assert 0 < s.matvecs < 1000
+
+
+@pytest.mark.parametrize("make", [lambda: cycle_graph(1000),
+                                  lambda: _circulant(10000, range(1, 13))], ids=["power", "plain"])
+def test_matvec_budget_binds_on_both_paths(monkeypatch, make):
+    # A zero budget leaves ARPACK its floor of 10 restarts, too few for either graph.
+    g = make()
+    monkeypatch.setattr(kplanar.spectral, "MATVEC_BUDGET", 0)
+    with pytest.raises(SpectralError, match="did not converge within budget"):
+        mu_bound(g)
 
 
 def test_dense_iterative_cross_validation():
@@ -226,7 +292,7 @@ def test_lanczos_agrees_with_dense_past_the_cutover(make):
     it, dense = mu_bound(g), spectrum_full(g)
     assert it.residual <= TOL * max(1, g.max_degree)
     assert abs(it.mu - dense.mu) <= it.residual + dense.residual
-    assert it.mu_safe >= dense.mu
+    assert it.mu_safe >= dense.mu - dense.residual
 
 
 def test_mu_safe_is_upper_only():
