@@ -15,7 +15,7 @@ from .certify import certify_k_planar_lb, estimate_pair_density
 from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
 from .graph import (GraphError, random_edge_partition, read_edge_list,
                     read_edge_partition, write_edge_list)
-from .models import RegularModel, SampleError, SampleReport, sample_gnp, sample_regular
+from .models import MODELS, SampleError, sample
 from .partitions import exact_bisection, local_search_bisection, witness_chain
 from .seeds import derive_seed
 from .spectral import SpectralError, spectral_summary
@@ -28,14 +28,7 @@ def _emit(obj, args) -> None:
 
 
 def _cmd_sample(args) -> int:
-    if args.model == "gnp":
-        if args.p is None or args.d is not None:
-            raise SampleError("gnp takes --p and no --d")
-        report = SampleReport(sample_gnp(args.n, args.p, args.seed), 0, 0, 0, args.seed)
-    else:
-        if args.d is None or args.p is not None:
-            raise SampleError(f"{args.model} takes --d and no --p")
-        report = sample_regular(args.n, args.d, RegularModel(args.model), args.seed)
+    report = sample(args.model, args.n, args.d, args.p, args.seed)
     if args.out:
         write_edge_list(args.out, report.graph)
     _emit(report.to_dict(), args)
@@ -118,7 +111,7 @@ def seed(text: str) -> int:
 SHARED_FLAGS = {
     "--in": dict(dest="infile", required=True),
     "--k": dict(type=int, required=True),
-    "--model": dict(choices=["gnp"] + sorted(m.value for m in RegularModel), required=True),
+    "--model": dict(choices=MODELS, required=True),
     "--out": dict(default=None),
     "--restarts": dict(type=int, default=8),
     "--seed": dict(type=seed, default=0),

@@ -20,8 +20,7 @@ import numpy as np
 
 from .certify import certify_k_planar_lb
 from .graph import random_edge_partition
-from .models import (RegularModel, check_uniform_simple, max_degree_ok, sample_gnp,
-                     sample_regular)
+from .models import RegularModel, check_uniform_simple, max_degree_ok, sample
 from .partitions import local_search_bisection, witness_chain, witness_floor
 from .seeds import derive_seed
 from .spectral import friedman_check, spectral_summary
@@ -35,7 +34,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: str  # "gnp" or a RegularModel tag
+    model: str  # a models.MODELS tag
     n_list: tuple[int, ...]
     d_list: tuple[int, ...] = ()
     p_list: tuple[float, ...] = ()
@@ -67,9 +66,11 @@ class ExperimentConfig:
             raise ValueError(f"--witness at k={self.k} needs n >= {floor}, got n={min(self.n_list)}")
 
     @property
-    def cells(self) -> list[tuple[int, float | int]]:
-        params = self.p_list if self.model == "gnp" else self.d_list
-        return [(n, x) for n in self.n_list for x in params]
+    def cells(self) -> list[tuple[int, int | None, float | None]]:
+        """(n, d, p) per cell, n-major: d is None on G(n, p) and p on the regular
+        models.  One of the two lists is empty, so one of the two terms is too."""
+        return [(n, int(d), None) for n in self.n_list for d in self.d_list] + [
+            (n, None, float(p)) for n in self.n_list for p in self.p_list]
 
 
 @dataclass
@@ -105,30 +106,17 @@ class TrialRecord:
 CSV_FIELDS = [f.name for f in fields(TrialRecord) if f.name != "wall_time_s"]
 
 
-def _run_trial(cfg: ExperimentConfig, n: int, param: float | int, trial: int,
+def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, trial: int,
                seed: int) -> TrialRecord:
-    is_gnp = cfg.model == "gnp"
-    rec = TrialRecord(
-        model=cfg.model,
-        n=n,
-        d=None if is_gnp else int(param),
-        p=float(param) if is_gnp else None,
-        k=cfg.k,
-        trial=trial,
-        seed=seed,
-    )
+    rec = TrialRecord(model=cfg.model, n=n, d=d, p=p, k=cfg.k, trial=trial, seed=seed)
     t0 = time.perf_counter()
     try:
-        if is_gnp:
-            g = sample_gnp(n, float(param), seed)
-            rec.max_degree_ok = max_degree_ok(g, float(param))
-        else:
-            report = sample_regular(n, int(param), RegularModel(cfg.model), seed)
-            g = report.graph
+        g = sample(cfg.model, n, d, p, seed).graph
         rec.edges = g.num_edges
         rec.max_degree = g.max_degree
-        if not is_gnp:
-            d = int(param)
+        if p is not None:
+            rec.max_degree_ok = max_degree_ok(g, p)
+        else:
             summary = spectral_summary(g)
             rec.mu_safe = summary.mu_safe
             if g.regular_degree() == d:
@@ -162,8 +150,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
     the master seed.  When out_path is set, each row is flushed as it
     completes, so an interrupted run keeps its finished cells."""
     trials = (
-        _run_trial(cfg, n, param, t, derive_seed(cfg.master_seed, ci * cfg.trials + t))
-        for ci, (n, param) in enumerate(cfg.cells)
+        _run_trial(cfg, n, d, p, t, derive_seed(cfg.master_seed, ci * cfg.trials + t))
+        for ci, (n, d, p) in enumerate(cfg.cells)
         for t in range(cfg.trials)
     )
     if out_path:

@@ -23,9 +23,11 @@ import numpy as np
 from .graph import _MAX_N, Graph, _graph_of_keys, _pair_keys
 
 __all__ = [
+    "MODELS",
     "RegularModel",
     "SampleReport",
     "SampleError",
+    "sample",
     "sample_gnp",
     "sample_regular",
     "check_uniform_simple",
@@ -53,6 +55,9 @@ class RegularModel(enum.Enum):
     FULL_CYCLE = "cycle"
     MATCHING = "matching"
     UNIFORM_SIMPLE = "uniform"
+
+
+MODELS = ["gnp"] + sorted(m.value for m in RegularModel)
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,18 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
         raise SampleError(f"{model.name} requires even d, got {d}")
     g, collapsed, loops = _simplify(n, _union_keys(rng, n, d, model))
     return SampleReport(g, 0, collapsed, loops, seed)
+
+
+def sample(model: str, n: int, d: int | None, p: float | None, seed: int) -> SampleReport:
+    """The one entry point: "gnp" draws G(n, p) from p and no d, with all counts 0;
+    every other `MODELS` tag is a RegularModel, drawn from d and no p."""
+    if model == "gnp":
+        if p is None or d is not None:
+            raise SampleError("gnp takes --p and no --d")
+        return SampleReport(sample_gnp(n, p, seed), 0, 0, 0, seed)
+    if d is None or p is not None:
+        raise SampleError(f"{model} takes --d and no --p")
+    return sample_regular(n, d, RegularModel(model), seed)
 
 
 def max_degree_ok(g: Graph, p: float) -> bool:

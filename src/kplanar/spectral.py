@@ -194,9 +194,11 @@ def mu_bound(g: Graph) -> SpectralSummary:
     # ARPACK stops once every Ritz pair has ||r|| <= tol * |theta|.  On A,
     # |theta| <= rho(A) <= max degree, so tol = TOL already meets `gate`; on
     # A^4 the stop is on A^4's residual, and only the recheck below gates.
-    # A tighter stop only adds matvecs.
+    # A tighter stop only adds matvecs.  `rng` seeds the restart vectors ARPACK asks
+    # for when the Krylov space closes early (a star); unseeded, they are OS entropy.
     try:
-        vals, vecs = spla.eigsh(op, k=k, which=which, tol=TOL, v0=v0, ncv=ncv, maxiter=maxiter)
+        vals, vecs = spla.eigsh(op, k=k, which=which, tol=TOL, v0=v0, ncv=ncv, maxiter=maxiter,
+                                rng=np.random.default_rng(0xA5F0))
     except spla.ArpackNoConvergence as exc:
         raise SpectralError(f"Lanczos did not converge within budget: {exc}") from exc
     if power > 1:

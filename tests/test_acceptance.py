@@ -277,16 +277,20 @@ def test_criterion_09_spectral_identities():
 
 
 def test_criterion_10_reproducibility(tmp_path):
-    """Same master seed => byte-identical experiment output."""
+    """Same master seed => byte-identical experiment output, on the dense path
+    and on a Lanczos row whose Krylov space closes early (a d = 1 matching)."""
     cfg = ExperimentConfig(
         model="matching", n_list=(40, 60), d_list=(4,), k=2, trials=3,
         master_seed=0xABCDE, with_witness=True,
     )
-    paths = [str(tmp_path / f"run{i}.csv") for i in range(2)]
-    for path in paths:
-        run_experiment(cfg, out_path=path)
-    b0, b1 = (open(p, "rb").read() for p in paths)
-    assert b0 == b1 and len(b0) > 0
+    lanczos = ExperimentConfig(model="matching", n_list=(1000,), d_list=(1,), trials=2,
+                               master_seed=0xABCDE)
+    for name, config in (("dense", cfg), ("lanczos", lanczos)):
+        paths = [str(tmp_path / f"{name}{i}.csv") for i in range(2)]
+        for path in paths:
+            run_experiment(config, out_path=path)
+        b0, b1 = (open(p, "rb").read() for p in paths)
+        assert b0 == b1 and len(b0) > 0, name
     rates = summarize_frequencies(run_experiment(cfg), "friedman_ok")
     assert set(rates.values()) <= {x / 3 for x in range(4)}
     print("\nACCEPTANCE 10 PASS: byte-identical reruns")

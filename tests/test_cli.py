@@ -468,7 +468,7 @@ def test_experiment_refuses_witness_grid_below_the_floor(tmp_path, capsys, monke
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a graph before refusing the grid")
 
-    monkeypatch.setattr(kplanar.experiment, "sample_regular", no_sampling)
+    monkeypatch.setattr(kplanar.experiment, "sample", no_sampling)
     out = tmp_path / "sweep.csv"
     code, stdout, err = run_cli(capsys, "experiment", "--model", "uniform", "--n-list", "12", "30",
                                 "--d-list", "4", "--k", "3", "--witness", "--out", str(out))

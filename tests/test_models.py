@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import kplanar.models
 from kplanar.graph import Graph, _graph_of_keys, _neighbours
-from kplanar.models import (RegularModel, SampleError, _multigraph_keys, _simple_pairing_keys,
-                            _simplify, check_uniform_simple, max_degree_ok, sample_gnp,
-                            sample_regular)
+from kplanar.models import (MODELS, RegularModel, SampleError, SampleReport, _multigraph_keys,
+                            _simple_pairing_keys, _simplify, check_uniform_simple, max_degree_ok,
+                            sample, sample_gnp, sample_regular)
 
 from conftest import complete_graph
 
@@ -340,6 +340,40 @@ def test_vertex_limit_refused_before_drawing(monkeypatch, sample):
     n = 2**31
     with pytest.raises(SampleError, match=re.escape(f"n={n} is not below the limit 2**31")):
         sample(n)
+
+
+class TestSample:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_the_sampler_its_tag_names(self, model, seed):
+        if model == "gnp":
+            report = sample(model, 60, None, 0.1, seed)
+            direct = SampleReport(sample_gnp(60, 0.1, seed), 0, 0, 0, seed)
+        else:
+            report = sample(model, 60, 4, None, seed)
+            direct = sample_regular(60, 4, RegularModel(model), seed)
+        assert report.graph == direct.graph
+        assert report.to_dict() == direct.to_dict()
+
+    def test_gnp_report_counts_nothing_removed(self):
+        report = sample("gnp", 200, None, 0.05, 3)
+        assert report.graph.num_edges > 0
+        assert (report.rejected_attempts, report.collapsed_multiedges, report.removed_loops,
+                report.seed) == (0, 0, 0, 3)
+
+    @pytest.mark.parametrize("model,d,p,message", [
+        ("gnp", 3, 0.1, "gnp takes --p and no --d"),
+        ("gnp", None, None, "gnp takes --p and no --d"),
+        ("perm", 4, 0.1, "perm takes --d and no --p"),
+        ("uniform", None, None, "uniform takes --d and no --p"),
+    ])
+    def test_d_or_p_rule(self, monkeypatch, model, d, p, message):
+        def no_draw(*args):
+            raise AssertionError("sampled before checking d and p")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
+            sample(model, 10, d, p, 0)
 
 
 class TestTailFormulas:

@@ -144,6 +144,32 @@ def test_no_axis1_calls_in_package():
     assert {call.split(":")[0] for call in calls} == set(AXIS1_CALLERS), calls
 
 
+def _calls(name: str) -> list[tuple[str, ast.Call]]:
+    """(file, call) for every call of `name`, bare or as an attribute, under src/."""
+    return [(path.name, node)
+            for path in sorted(SRC.glob("**/*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_models_calls_the_samplers():
+    # `models.sample` is the one place a model tag picks its sampler; every other
+    # module draws through it.
+    assert {name: {path for path, _ in _calls(name)}
+            for name in ("sample_gnp", "sample_regular")} == {
+        "sample_gnp": {"models.py"}, "sample_regular": {"models.py"}}
+
+
+def test_every_eigsh_call_seeds_its_vectors():
+    # Left unseeded, ARPACK's restart vectors come from OS entropy, and a Lanczos
+    # row whose Krylov space closes early changes its last digits from run to run.
+    calls = _calls("eigsh")
+    assert calls
+    assert [path for path, call in calls
+            if not {"v0", "rng"} <= {kw.arg for kw in call.keywords}] == []
+
+
 def test_readme_library_imports_resolve():
     readme = SRC.parents[1] / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)

@@ -95,6 +95,13 @@ def test_mu_bound_star():
     assert s.mu == pytest.approx(2.0, abs=1e-8)
 
 
+def test_mu_bound_reruns_agree_when_arpack_restarts():
+    # A star's Krylov space closes after a few steps, so ARPACK asks for restart
+    # vectors; they are seeded, so reruns agree to the last digit.
+    star = Graph(500, [(0, i) for i in range(1, 500)])
+    assert len({repr(mu_bound(star).mu_safe) for _ in range(3)}) == 1
+
+
 def test_mu_bound_bipartite_keeps_perron_root():
     # magnitude ties (+d, -d) must not mislabel lambda1
     g = complete_bipartite(10, 10)
