@@ -7,8 +7,8 @@ from .certify import (Certificate, brute_min_pair_density, certify_k_planar_lb,
 from .graph import (Bipartition, EdgePartition, Graph, GraphError, cut_size,
                     induced_subgraph, random_edge_partition, read_edge_list,
                     read_edge_partition, write_edge_list)
-from .models import (MODELS, RegularModel, SampleError, SampleReport, max_degree_ok,
-                     sample, sample_gnp, sample_regular)
+from .models import (MODELS, RegularModel, SampleError, SampleReport, check_params,
+                     max_degree_ok, sample, sample_gnp, sample_regular)
 from .partitions import (BisectionResult, WitnessChain, exact_bisection,
                          lemma1_split, local_search_bisection, witness_chain)
 from .seeds import derive_seed, mix64

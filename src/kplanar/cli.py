@@ -13,9 +13,8 @@ import sys
 
 from .certify import certify_k_planar_lb, estimate_pair_density
 from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
-from .graph import (GraphError, random_edge_partition, read_edge_list,
-                    read_edge_partition, write_edge_list)
-from .models import MODELS, SampleError, sample
+from .graph import random_edge_partition, read_edge_list, read_edge_partition, write_edge_list
+from .models import MODELS, sample
 from .partitions import exact_bisection, local_search_bisection, witness_chain
 from .seeds import derive_seed
 from .spectral import SpectralError, spectral_summary
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (GraphError, SampleError, SpectralError, FitError, ValueError, OSError) as exc:
+    except (SpectralError, FitError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except AssertionError as exc:

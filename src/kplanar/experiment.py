@@ -20,7 +20,7 @@ import numpy as np
 
 from .certify import certify_k_planar_lb
 from .graph import random_edge_partition
-from .models import RegularModel, check_uniform_simple, max_degree_ok, sample
+from .models import check_params, max_degree_ok, sample
 from .partitions import local_search_bisection, witness_chain, witness_floor
 from .seeds import derive_seed
 from .spectral import friedman_check, spectral_summary
@@ -53,15 +53,8 @@ class ExperimentConfig:
             raise ValueError("need trials >= 1")
         if self.k < 2:
             raise ValueError(f"certificates and witness chains need k >= 2, got k={self.k}")
-        if self.model == "gnp":
-            if not self.p_list or self.d_list:
-                raise ValueError("gnp sweeps take --p-list and no --d-list")
-        else:
-            if not self.d_list or self.p_list:
-                raise ValueError("regular-model sweeps take --d-list and no --p-list")
-            if RegularModel(self.model) is RegularModel.UNIFORM_SIMPLE:  # validates the tag
-                for d in self.d_list:
-                    check_uniform_simple(d)
+        for _, d, p in self.cells or [(None, None, None)]:
+            check_params(self.model, d, p)
         if self.with_witness and min(self.n_list) < (floor := witness_floor(self.k)):
             raise ValueError(f"--witness at k={self.k} needs n >= {floor}, got n={min(self.n_list)}")
 
@@ -235,7 +228,7 @@ def fit_scaling(records, x_field: str, y_field: str) -> tuple[float, float, int]
 
 
 def summarize_frequencies(records, flag_field: str) -> dict[tuple, float]:
-    """Per-cell fraction of trials whose boolean `flag_field` is true.
+    """Per-cell fraction of trials whose `flag_field` is True, or "true" in a CSV row.
 
     Rows with a missing flag count as false (failures included by design)."""
     if not records:
@@ -246,5 +239,5 @@ def summarize_frequencies(records, flag_field: str) -> dict[tuple, float]:
     cells: dict[tuple, list[bool]] = {}
     for row in rows:
         key = (row["model"], row["n"], row["d"], row["p"], row["k"])
-        cells.setdefault(key, []).append(bool(row.get(flag_field)))
+        cells.setdefault(key, []).append(row.get(flag_field) in (True, "true"))
     return {key: sum(flags) / len(flags) for key, flags in cells.items()}

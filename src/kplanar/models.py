@@ -7,8 +7,8 @@ by one builder into one int64 array; their loops are removed and parallel
 edges collapsed, with both counts reported.  UNIFORM_SIMPLE instead rejects
 every non-simple pairing in numpy, reports the rejections as
 `rejected_attempts`, and refuses at call time any d (d >= 8) whose expected
-attempt count exceeds its budget.  Every sampler refuses n >= 2**31 before
-allocating, hands pair keys to the one decode, `graph._graph_of_keys`,
+attempt count exceeds its budget.  Every sampler refuses n < 0 and n >= 2**31
+before allocating, hands pair keys to the one decode, `graph._graph_of_keys`,
 returns a simple graph and is a pure function of (parameters, seed); d = 0
 gives the edgeless graph in every regular model.
 """
@@ -27,10 +27,10 @@ __all__ = [
     "RegularModel",
     "SampleReport",
     "SampleError",
+    "check_params",
     "sample",
     "sample_gnp",
     "sample_regular",
-    "check_uniform_simple",
     "max_degree_ok",
 ]
 
@@ -38,7 +38,7 @@ __all__ = [
 _MAX_ATTEMPTS = 1_000_000
 
 
-class SampleError(RuntimeError):
+class SampleError(ValueError):
     """Sampler parameter or budget failure."""
 
 
@@ -79,7 +79,9 @@ class SampleReport:
         }
 
 
-def _refuse_large_n(n: int) -> None:
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise SampleError(f"negative vertex count n={n}")
     if n >= _MAX_N:
         raise SampleError(f"vertex count n={n} is not below the limit 2**31 = {_MAX_N}")
 
@@ -87,9 +89,7 @@ def _refuse_large_n(n: int) -> None:
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each of the C(n, 2) pairs kept independently
     with probability p.  Deterministic given seed."""
-    if n < 0:
-        raise SampleError(f"negative vertex count n={n}")
-    _refuse_large_n(n)
+    _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise SampleError(f"p={p} outside [0, 1]")
     total = n * (n - 1) // 2
@@ -180,7 +180,7 @@ def _union_keys(rng: np.random.Generator, n: int, d: int, model: RegularModel) -
     return keys.ravel()
 
 
-def check_uniform_simple(d: int) -> int:
+def _uniform_budget(d: int) -> int:
     """The rejection budget of UNIFORM_SIMPLE at degree d, min(1000 * E, 1e6)
     attempts, where E = e^((d^2-1)/4) is the asymptotic expected number of
     pairings drawn per simple one.  SampleError when E itself exceeds 1e6
@@ -204,10 +204,10 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     parallel edge had to be removed (always true for UNIFORM_SIMPLE); d = 0
     gives the edgeless graph in every model.
     UNIFORM_SIMPLE raises SampleError before drawing when
-    `check_uniform_simple(d)` refuses d, and after drawing when the budget
+    `_uniform_budget(d)` refuses d, and after drawing when the budget
     runs out.
     """
-    _refuse_large_n(n)
+    _check_n(n)
     if d >= n:
         raise SampleError(f"need d < n, got d={d}, n={n}")
     if d < 0:
@@ -219,7 +219,7 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     if model is RegularModel.UNIFORM_SIMPLE:
         if (n * d) % 2:
             raise SampleError(f"UNIFORM_SIMPLE needs n*d even, got n={n}, d={d}")
-        budget = check_uniform_simple(d)
+        budget = _uniform_budget(d)
         stubs = np.repeat(np.arange(n), d)
         for attempt in range(budget):
             rng.shuffle(stubs)
@@ -231,7 +231,7 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
         )
 
     if model is RegularModel.MATCHING:
-        if n % 2:
+        if n % 2 and d:
             raise SampleError(f"MATCHING requires even n, got {n}")
     elif d % 2:
         raise SampleError(f"{model.name} requires even d, got {d}")
@@ -239,15 +239,26 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     return SampleReport(g, 0, collapsed, loops, seed)
 
 
-def sample(model: str, n: int, d: int | None, p: float | None, seed: int) -> SampleReport:
-    """The one entry point: "gnp" draws G(n, p) from p and no d, with all counts 0;
-    every other `MODELS` tag is a RegularModel, drawn from d and no p."""
+def check_params(model: str, d: int | None, p: float | None) -> None:
+    """SampleError unless `model` is a `MODELS` tag, "gnp" has p and no d, every
+    other tag has d and no p, and a UNIFORM_SIMPLE d fits its attempt budget:
+    the rules no choice of n can fix, checked without drawing anything."""
+    if model not in MODELS:
+        raise SampleError(f"unknown model {model!r}")
     if model == "gnp":
         if p is None or d is not None:
             raise SampleError("gnp takes --p and no --d")
-        return SampleReport(sample_gnp(n, p, seed), 0, 0, 0, seed)
-    if d is None or p is not None:
+    elif d is None or p is not None:
         raise SampleError(f"{model} takes --d and no --p")
+    elif RegularModel(model) is RegularModel.UNIFORM_SIMPLE:
+        _uniform_budget(d)
+
+
+def sample(model: str, n: int, d: int | None, p: float | None, seed: int) -> SampleReport:
+    """The one entry point: `check_params`, then G(n, p) with all counts 0 or a RegularModel."""
+    check_params(model, d, p)
+    if model == "gnp":
+        return SampleReport(sample_gnp(n, p, seed), 0, 0, 0, seed)
     return sample_regular(n, d, RegularModel(model), seed)
 
 

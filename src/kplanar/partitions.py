@@ -86,7 +86,7 @@ def exact_bisection(g: Graph) -> BisectionResult:
 
     Scores every block containing vertex 0 at once in numpy, so each
     bipartition is counted exactly once: a block is a uint32 mask with
-    bit v for vertex v, and its cut is the sum, over member vertices v, of
+    bit n - 1 - v for vertex v, and its cut is the sum, over member vertices v, of
     popcount(adj_mask[v] & complement).  Of the blocks with size between
     ceil(n/3) and n - ceil(n/3), the one returned is the first minimum in
     the order (size, then `combinations(range(1, n), size - 1)`): of the
@@ -101,30 +101,27 @@ def exact_bisection(g: Graph) -> BisectionResult:
     lo = _min_side(n)
     adj_mask = [0] * n
     for u, v in g.edges.tolist():
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+        adj_mask[u] |= 1 << (n - 1 - v)
+        adj_mask[v] |= 1 << (n - 1 - u)
     one = np.uint32(1)
-    masks = np.arange(1 << (n - 1), dtype=np.uint32) << one | one
+    masks = np.arange(1 << (n - 1), dtype=np.uint32) | np.uint32(1 << (n - 1))
     sizes = np.bitwise_count(masks)
     masks = masks[(sizes >= lo) & (sizes <= n - lo)]
     comp = masks ^ np.uint32((1 << n) - 1)
     cut = np.zeros(len(masks), dtype=np.uint8)  # a cut is at most (EXACT_CAP/2)^2 = 121
     for v in range(n):
         if adj_mask[v]:
-            member = -((masks >> np.uint32(v)) & one)  # all ones where v is in the block
+            member = -((masks >> np.uint32(n - 1 - v)) & one)  # all ones where v is in the block
             cut += np.bitwise_count(comp & member & np.uint32(adj_mask[v]))
     width = int(cut.min())
     best = masks[cut == width]
     best_sizes = np.bitwise_count(best)
     best = best[best_sizes == best_sizes.min()]
     # Of two blocks of one size, the earlier in combination order holds their
-    # lowest differing vertex, so it has the larger bit-reversed mask.
-    flipped = np.zeros(len(best), dtype=np.uint32)
-    for v in range(n):
-        flipped |= ((best >> np.uint32(v)) & one) << np.uint32(n - 1 - v)
-    best_mask = int(best[np.argmax(flipped)])
-    block1 = tuple(v for v in range(n) if best_mask >> v & 1)
-    block2 = tuple(v for v in range(n) if not best_mask >> v & 1)
+    # lowest differing vertex, which has the higher bit, so its mask is larger.
+    best_mask = int(best.max())
+    block1 = tuple(v for v in range(n) if best_mask >> (n - 1 - v) & 1)
+    block2 = tuple(v for v in range(n) if not best_mask >> (n - 1 - v) & 1)
     return BisectionResult(Bipartition(block1, block2), width, True)
 
 

@@ -464,6 +464,22 @@ def test_experiment_refuses_negative_n(tmp_path, capsys):
     assert not out.exists()  # refused before the first trial
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--model", "gnp", "--d-list", "3"], "error: gnp takes --p and no --d\n"),
+    (["--model", "perm", "--p-list", "0.1"], "error: perm takes --d and no --p\n"),
+], ids=["gnp-with-d", "perm-with-p"])
+def test_experiment_refuses_with_the_samplers_message(tmp_path, capsys, args, message):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, "experiment", "--n-list", "10", *args, "--out", str(out))
+    assert (code, stdout, err) == (1, "", message)
+    assert not out.exists()  # refused before the first trial
+
+
+def test_sample_regular_refuses_negative_n(capsys):
+    code, stdout, err = run_cli(capsys, "sample", "--model", "perm", "--n", "-3", "--d", "2")
+    assert (code, stdout, err) == (1, "", "error: negative vertex count n=-3\n")
+
+
 def test_experiment_refuses_witness_grid_below_the_floor(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a graph before refusing the grid")

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import re
@@ -92,6 +93,23 @@ class TestRunExperiment:
         d = d_list[-1]
         with pytest.raises(SampleError, match=re.escape(f"UNIFORM_SIMPLE: d={d} expects")):
             ExperimentConfig(model="uniform", n_list=(100,), d_list=d_list)
+
+    @pytest.mark.parametrize("model,grid,message", [
+        ("gnp", {"d_list": (3,)}, "gnp takes --p and no --d"),
+        ("gnp", {}, "gnp takes --p and no --d"),
+        ("gnp", {"d_list": (3,), "p_list": (0.1,)}, "gnp takes --p and no --d"),
+        ("perm", {"p_list": (0.1,)}, "perm takes --d and no --p"),
+        ("perm", {"d_list": (4,), "p_list": (0.1,)}, "perm takes --d and no --p"),
+        ("nope", {"d_list": (3,)}, "unknown model 'nope'"),
+    ])
+    def test_grid_refused_with_the_samplers_message(self, model, grid, message):
+        with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(model=model, n_list=(10,), **grid)
+
+    def test_odd_n_matching_degree_zero_row_names_the_friedman_requirement(self):
+        rec, = run_experiment(small_cfg(n_list=(31,), d_list=(0,), trials=1))
+        assert rec.edges == 0 and rec.failed
+        assert rec.error == "ValueError: friedman_check needs d >= 1 (got d=0)"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +216,19 @@ class TestSummarize:
     def test_alternating(self):
         rates = summarize_frequencies(self.make([True, False] * 5), "friedman_ok")
         assert list(rates.values()) == [0.5]
+
+    @pytest.mark.parametrize("flag", ["failed", "friedman_ok", "degenerate"])
+    def test_csv_rows_give_the_records_rates(self, tmp_path, flag):
+        # A CSV cell holds the text "false", which bool() would count as true.
+        path = str(tmp_path / "r.csv")
+        cfg = ExperimentConfig(model="perm", n_list=(30,), d_list=(4, 40), trials=3, master_seed=2)
+        recs = run_experiment(cfg, out_path=path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rates = list(summarize_frequencies(recs, flag).values())
+        assert list(summarize_frequencies(rows, flag).values()) == rates
+        if flag == "failed":
+            assert rates == [0.0, 1.0]
 
     def test_unknown_field(self):
         with pytest.raises(KeyError):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import kplanar.models
 from kplanar.graph import Graph, _graph_of_keys, _neighbours
 from kplanar.models import (MODELS, RegularModel, SampleError, SampleReport, _multigraph_keys,
-                            _simple_pairing_keys, _simplify, check_uniform_simple, max_degree_ok,
-                            sample, sample_gnp, sample_regular)
+                            _simple_pairing_keys, _simplify, _uniform_budget, check_params,
+                            max_degree_ok, sample, sample_gnp, sample_regular)
 
 from conftest import complete_graph
 
@@ -128,6 +128,17 @@ class TestRegularModels:
         with pytest.raises(SampleError, match="even d"):
             sample_regular(10, 3, RegularModel.PERMUTATION, 0)
 
+    @pytest.mark.parametrize("model", list(RegularModel))
+    def test_negative_n_is_named(self, model):
+        with pytest.raises(SampleError, match=f"^{re.escape('negative vertex count n=-3')}$"):
+            sample_regular(-3, 2, model, 0)
+
+    @pytest.mark.parametrize("model", list(RegularModel))
+    def test_degree_zero_at_odd_n_is_edgeless(self, model):
+        rep = sample_regular(5, 0, model, 1)
+        assert rep.graph == Graph(5, [])
+        assert (rep.rejected_attempts, rep.collapsed_multiedges, rep.removed_loops) == (0, 0, 0)
+
     def test_d_too_large(self):
         with pytest.raises(SampleError, match="d < n"):
             sample_regular(4, 4, RegularModel.UNIFORM_SIMPLE, 0)
@@ -211,9 +222,9 @@ class TestRegularModels:
             assert rep.collapsed_multiedges == 0 and rep.removed_loops == 0
 
     def test_uniform_simple_budget_formula(self):
-        assert check_uniform_simple(3) == int(1000 * math.exp(2))
+        assert _uniform_budget(3) == int(1000 * math.exp(2))
         # 1000 * e^(35/4) is over the cap, which binds.
-        assert check_uniform_simple(6) == 1_000_000
+        assert _uniform_budget(6) == 1_000_000
 
 
 class TestUniformSimpleRejection:
@@ -278,11 +289,11 @@ class TestUniformSimpleRejection:
 
     def test_budget_boundary_is_d8(self):
         # e^((8^2-1)/4) is the first expectation over the 1e6 cap.
-        assert check_uniform_simple(7) == 1_000_000
+        assert _uniform_budget(7) == 1_000_000
         msg = ("UNIFORM_SIMPLE: d=8 expects 6.92e+06 attempts per simple pairing, "
                "over the budget of 1000000")
         with pytest.raises(SampleError, match=re.escape(msg)):
-            check_uniform_simple(8)
+            _uniform_budget(8)
 
     @pytest.mark.parametrize("n,d", [(20, 8), (30, 12), (200, 60)])
     def test_over_budget_degree_fails_before_drawing(self, monkeypatch, n, d):
@@ -374,6 +385,35 @@ class TestSample:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
             sample(model, 10, d, p, 0)
+
+
+class TestCheckParams:
+    @pytest.mark.parametrize("model,d,p", [
+        ("gnp", None, 0.1), ("perm", 4, None), ("cycle", 0, None), ("matching", 3, None),
+        ("uniform", 7, None),
+    ])
+    def test_accepts_the_parameter_its_tag_takes(self, model, d, p):
+        assert check_params(model, d, p) is None
+
+    @pytest.mark.parametrize("model,d,p,message", [
+        ("nope", 3, None, "unknown model 'nope'"),
+        ("gnp", 3, None, "gnp takes --p and no --d"),
+        ("cycle", None, 0.1, "cycle takes --d and no --p"),
+        ("uniform", 8, None, "UNIFORM_SIMPLE: d=8 expects 6.92e+06 attempts per simple pairing, "
+                             "over the budget of 1000000"),
+    ])
+    def test_refuses_before_drawing(self, monkeypatch, model, d, p, message):
+        def no_draw(*args):
+            raise AssertionError("drew while checking the parameters")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for check in (lambda: check_params(model, d, p), lambda: sample(model, 10, d, p, 0)):
+            with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
+                check()
+
+    def test_sample_error_is_a_value_error(self):
+        # So a sweep's refusal of its grid is a ValueError, as its other checks are.
+        assert issubclass(SampleError, ValueError)
 
 
 class TestTailFormulas:

@@ -7,6 +7,7 @@ import re
 
 from kplanar.cli import build_parser
 from kplanar.graph import Graph
+from kplanar.models import MODELS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kplanar"
 
@@ -159,6 +160,29 @@ def test_only_models_calls_the_samplers():
     assert {name: {path for path, _ in _calls(name)}
             for name in ("sample_gnp", "sample_regular")} == {
         "sample_gnp": {"models.py"}, "sample_regular": {"models.py"}}
+
+
+# Names that only models.py may use: `models.check_params` holds the sampling rules.
+SAMPLING_RULE_NAMES = {"RegularModel", "_uniform_budget"}
+
+
+def test_only_models_knows_the_sampling_rules():
+    # No other module tests a model tag, names RegularModel or reads the uniform
+    # budget; `__init__`'s re-exports are the one exception.
+    offenders = []
+    for path in sorted(SRC.glob("**/*.py")):
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant):
+                hit = isinstance(node.value, str) and node.value in MODELS
+            elif isinstance(node, ast.alias):
+                hit = node.name in SAMPLING_RULE_NAMES and path.name != "__init__.py"
+            else:
+                hit = getattr(node, "id", getattr(node, "attr", None)) in SAMPLING_RULE_NAMES
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_every_eigsh_call_seeds_its_vectors():
