@@ -70,9 +70,7 @@ def pss_lower_bound(b: float, sum_deg_sq: float) -> float:
 def threshold_c0(k: int) -> int:
     """Degree threshold (4 * 6 * 3^(k-2))^2 above which the density bound
     is guaranteed at the Friedman eigenvalue estimate."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return (4 * 6 * 3 ** (k - 2)) ** 2
+    return (4 * witness_floor(k)) ** 2
 
 
 def set_size_t(n: int, k: int) -> tuple[int, bool]:
@@ -161,8 +159,7 @@ def certify_k_planar_lb(g: Graph, k: int, spectral: SpectralSummary) -> Certific
     Disconnected regular graphs are allowed but produce a degenerate
     certificate (mu equals d, killing the density bound).
     """
-    if k < 2:
-        raise ValueError(f"certificates need k >= 2, got {k}")
+    witness_floor(k)  # refuses k < 2 before the graph is looked at
     d = g.regular_degree()
     if d is None:
         raise GraphError(
@@ -174,29 +171,26 @@ def certify_k_planar_lb(g: Graph, k: int, spectral: SpectralSummary) -> Certific
 
 
 def min_positive_n(d: int, k: int, mu_safe: float) -> int:
-    """Smallest n at which the certificate chain turns non-degenerate for
-    fixed (d, k, mu_safe); the desk-scale operating point.
+    """Smallest n0 > d such that the certificate chain is non-degenerate at
+    every n >= n0 for fixed (d, k, mu_safe); the desk-scale operating point.
 
-    Raises ValueError when no n up to 2^60 works (the density slope never
-    clears the degree term).
+    The set size t = ceil(n/f), f = witness_floor(k), makes degeneracy
+    saw-toothed in n, so no search that assumes monotonicity finds n0.  The
+    density is n*a*(a*(d + mu) - mu) at a = t/n >= 1/f.  When
+    c = (d + mu)/f^2 - mu/f > 0 it rises in a from 1/f, so n divisible by f
+    is the worst case, and every n > N* = (2*d*k/c)^2 clears the degree term
+    2*d*sqrt(n): n0 is found by scanning down from N*, which stops within
+    one period of f.  Raises ValueError when c <= 0, where every multiple of
+    f is degenerate.
     """
-    lo, hi = d + 1, None
-    n = max(64, d + 1)
-    while n < 1 << 60:
-        if not _chain(n, d, k, mu_safe).degenerate:
-            hi = n
-            break
-        lo = n + 1
-        n *= 2
-    if hi is None:
-        raise ValueError(f"no positive certificate for d={d}, k={k} at any n")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _chain(mid, d, k, mu_safe).degenerate:
-            lo = mid + 1
-        else:
-            hi = mid
-    return hi
+    f = witness_floor(k)
+    c = (d + mu_safe) / f**2 - mu_safe / f
+    if c <= 0:
+        raise ValueError(f"no positive certificate for d={d}, k={k} at n divisible by {f}")
+    n = max(d + 1, math.floor((2 * d * k / c) ** 2) + 1)
+    while n > d + 1 and not _chain(n - 1, d, k, mu_safe).degenerate:
+        n -= 1
+    return n
 
 
 def brute_min_pair_density(g: Graph, t: int) -> int:

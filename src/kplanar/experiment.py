@@ -47,15 +47,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list:
             raise ValueError("empty n grid")
-        if min(self.n_list) < 0:
-            raise ValueError(f"need n >= 0, got n={min(self.n_list)}")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
-        if self.k < 2:
-            raise ValueError(f"certificates and witness chains need k >= 2, got k={self.k}")
-        for _, d, p in self.cells or [(None, None, None)]:
-            check_params(self.model, d, p)
-        if self.with_witness and min(self.n_list) < (floor := witness_floor(self.k)):
+        floor = witness_floor(self.k)
+        for n, d, p in self.cells or [(self.n_list[0], None, None)]:
+            check_params(self.model, n, d, p)
+        if self.with_witness and min(self.n_list) < floor:
             raise ValueError(f"--witness at k={self.k} needs n >= {floor}, got n={min(self.n_list)}")
 
     @property

@@ -7,9 +7,9 @@ by one builder into one int64 array; their loops are removed and parallel
 edges collapsed, with both counts reported.  UNIFORM_SIMPLE instead rejects
 every non-simple pairing in numpy, reports the rejections as
 `rejected_attempts`, and refuses at call time any d (d >= 8) whose expected
-attempt count exceeds its budget.  Every sampler refuses n < 0 and n >= 2**31
-before allocating, hands pair keys to the one decode, `graph._graph_of_keys`,
-returns a simple graph and is a pure function of (parameters, seed); d = 0
+attempt count exceeds its budget.  Every sampler refuses a bad n, d or p
+through `check_params` before allocating, hands pair keys to the one decode,
+`graph._graph_of_keys`, returns a simple graph and is a pure function of (parameters, seed); d = 0
 gives the edgeless graph in every regular model.
 """
 from __future__ import annotations
@@ -79,19 +79,10 @@ class SampleReport:
         }
 
 
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise SampleError(f"negative vertex count n={n}")
-    if n >= _MAX_N:
-        raise SampleError(f"vertex count n={n} is not below the limit 2**31 = {_MAX_N}")
-
-
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each of the C(n, 2) pairs kept independently
     with probability p.  Deterministic given seed."""
-    _check_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise SampleError(f"p={p} outside [0, 1]")
+    check_params("gnp", n, None, p)
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return _graph_of_keys(n, np.empty(0, dtype=np.int64))
@@ -207,13 +198,11 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
     `_uniform_budget(d)` refuses d, and after drawing when the budget
     runs out.
     """
-    _check_n(n)
-    if d >= n:
-        raise SampleError(f"need d < n, got d={d}, n={n}")
-    if d < 0:
-        raise SampleError(f"negative degree {d}")
     if not isinstance(model, RegularModel):
         raise SampleError(f"unknown model {model!r}")
+    check_params(model.value, n, d, None)
+    if d >= n:
+        raise SampleError(f"need d < n, got d={d}, n={n}")
     rng = np.random.default_rng(seed)
 
     if model is RegularModel.UNIFORM_SIMPLE:
@@ -230,19 +219,18 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
             f"UNIFORM_SIMPLE: no simple pairing in {budget} attempts (n={n}, d={d})"
         )
 
-    if model is RegularModel.MATCHING:
-        if n % 2 and d:
-            raise SampleError(f"MATCHING requires even n, got {n}")
-    elif d % 2:
-        raise SampleError(f"{model.name} requires even d, got {d}")
+    if model is RegularModel.MATCHING and n % 2 and d:
+        raise SampleError(f"MATCHING requires even n, got {n}")
     g, collapsed, loops = _simplify(n, _union_keys(rng, n, d, model))
     return SampleReport(g, 0, collapsed, loops, seed)
 
 
-def check_params(model: str, d: int | None, p: float | None) -> None:
-    """SampleError unless `model` is a `MODELS` tag, "gnp" has p and no d, every
-    other tag has d and no p, and a UNIFORM_SIMPLE d fits its attempt budget:
-    the rules no choice of n can fix, checked without drawing anything."""
+def check_params(model: str, n: int, d: int | None, p: float | None) -> None:
+    """SampleError unless `model` is a `MODELS` tag, "gnp" has p and no d and
+    every other tag d and no p, 0 <= n < 2**31, d >= 0 and even for
+    PERMUTATION and FULL_CYCLE, p lies in [0, 1], and a UNIFORM_SIMPLE d fits
+    its attempt budget: every rule on one parameter, checked without drawing
+    anything.  The rules that tie d to n are `sample_regular`'s."""
     if model not in MODELS:
         raise SampleError(f"unknown model {model!r}")
     if model == "gnp":
@@ -250,13 +238,24 @@ def check_params(model: str, d: int | None, p: float | None) -> None:
             raise SampleError("gnp takes --p and no --d")
     elif d is None or p is not None:
         raise SampleError(f"{model} takes --d and no --p")
+    if n < 0:
+        raise SampleError(f"negative vertex count n={n}")
+    if n >= _MAX_N:
+        raise SampleError(f"vertex count n={n} is not below the limit 2**31 = {_MAX_N}")
+    if model == "gnp":
+        if not 0.0 <= p <= 1.0:
+            raise SampleError(f"p={p} outside [0, 1]")
+    elif d < 0:
+        raise SampleError(f"negative degree {d}")
+    elif d % 2 and RegularModel(model) in (RegularModel.PERMUTATION, RegularModel.FULL_CYCLE):
+        raise SampleError(f"{RegularModel(model).name} requires even d, got {d}")
     elif RegularModel(model) is RegularModel.UNIFORM_SIMPLE:
         _uniform_budget(d)
 
 
 def sample(model: str, n: int, d: int | None, p: float | None, seed: int) -> SampleReport:
     """The one entry point: `check_params`, then G(n, p) with all counts 0 or a RegularModel."""
-    check_params(model, d, p)
+    check_params(model, n, d, p)
     if model == "gnp":
         return SampleReport(sample_gnp(n, p, seed), 0, 0, 0, seed)
     return sample_regular(n, d, RegularModel(model), seed)

@@ -208,7 +208,7 @@ def test_criterion_06_scaling_law():
             # at the degeneracy threshold n0 = min_positive_n, where r ~ 1,
             # and tending to 2 only as r grows.  N = 100 n0 puts r at about
             # 10 to 20 over the range (local slopes 2.11 down to 2.05); at
-            # N = n0 the same fit gives exponents of 13.5 to 21.7.
+            # N = n0 the same fit gives exponents of 12.9 to 19.2.
             n_bottom = 100 * min_positive_n(d, k, mu)
             certs = [_chain(n, d, k, mu) for n in (n_bottom, 2 * n_bottom, 4 * n_bottom)]
             assert not any(c.degenerate for c in certs), f"k={k} d={d}: degenerate row"

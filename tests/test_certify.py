@@ -7,8 +7,10 @@ from kplanar.certify import (BRUTE_CAP, brute_min_pair_density,
                              certify_k_planar_lb, estimate_pair_density,
                              min_positive_n, mixing_density_lb,
                              pss_lower_bound, set_size_t, threshold_c0)
+from kplanar.experiment import ExperimentConfig
 from kplanar.graph import Graph, GraphError, cut_size
 from kplanar.models import RegularModel, sample_regular
+from kplanar.partitions import witness_floor
 from kplanar.spectral import spectrum_full
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph, petersen_graph,
@@ -67,6 +69,18 @@ def test_threshold_c0_values():
     assert threshold_c0(4) == 46656
     with pytest.raises(ValueError):
         threshold_c0(1)
+
+
+@pytest.mark.parametrize("refuse", [
+    witness_floor,
+    lambda k: ExperimentConfig(model="matching", n_list=(30,), d_list=(4,), k=k),
+    # An irregular graph: the k rule is checked before regularity.
+    lambda k: certify_k_planar_lb(Graph(5, [(0, 1)]), k, spectrum_full(Graph(5, [(0, 1)]))),
+    threshold_c0,
+], ids=["witness_floor", "ExperimentConfig", "certify_k_planar_lb", "threshold_c0"])
+def test_k_below_2_is_refused_by_the_one_rule(refuse):
+    with pytest.raises(ValueError, match=r"^need k >= 2 classes, got k=1$"):
+        refuse(1)
 
 
 def test_set_size_t_values():
@@ -135,6 +149,23 @@ class TestCertify:
         assert _chain(n0 - 1, 128, 2, mu).degenerate is True
         # desk-scale operating point is in the millions: documented floor
         assert n0 > 1_000_000
+
+    @pytest.mark.parametrize("d,k,n0", [(576, 2, 61_225), (120, 2, 3_038_701),
+                                        (5184, 3, 13_598_623)])
+    def test_min_positive_n_certifies_every_larger_n(self, d, k, n0):
+        # Degeneracy is saw-toothed in n (the set size is ceil(n/f)), so n0 is
+        # the start of the certified tail, not the first certified n.
+        from kplanar.certify import _chain
+        mu = 2 * math.sqrt(d - 1) + 0.2
+        assert min_positive_n(d, k, mu) == n0
+        assert _chain(n0 - 1, d, k, mu).degenerate is True
+        f = witness_floor(k)
+        assert [n for n in range(n0, n0 + 20 * f) if _chain(n, d, k, mu).degenerate] == []
+
+    def test_min_positive_n_refuses_a_density_that_never_clears(self):
+        # d = 100, k = 2: (d + mu)/36 < mu/6, so every multiple of 6 is degenerate.
+        with pytest.raises(ValueError, match="for d=100, k=2 at n divisible by 6"):
+            min_positive_n(100, 2, 2 * math.sqrt(99) + 0.2)
 
     def test_transcript_mentions_bound(self):
         g = cycle_graph(9)

@@ -6,6 +6,7 @@ import random
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 import kplanar.experiment
@@ -451,7 +452,7 @@ def test_experiment_refuses_k_below_2(tmp_path, capsys, model, grid):
                                 grid, "0.1" if model == "gnp" else "4", "--k", "1",
                                 "--out", str(out))
     assert code == 1 and stdout == ""
-    assert err == "error: certificates and witness chains need k >= 2, got k=1\n"
+    assert err == "error: need k >= 2 classes, got k=1\n"
     assert not out.exists()  # refused before the first trial
 
 
@@ -460,18 +461,30 @@ def test_experiment_refuses_negative_n(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "experiment", "--model", "gnp", "--n-list", "-3",
                                 "--p-list", "0.5", "--out", str(out))
     assert code == 1 and stdout == ""
-    assert err == "error: need n >= 0, got n=-3\n"
+    assert err == "error: negative vertex count n=-3\n"
     assert not out.exists()  # refused before the first trial
 
 
 @pytest.mark.parametrize("args,message", [
-    (["--model", "gnp", "--d-list", "3"], "error: gnp takes --p and no --d\n"),
-    (["--model", "perm", "--p-list", "0.1"], "error: perm takes --d and no --p\n"),
-], ids=["gnp-with-d", "perm-with-p"])
-def test_experiment_refuses_with_the_samplers_message(tmp_path, capsys, args, message):
+    (["--model", "gnp", "--n-list", "10", "--d-list", "3"], "gnp takes --p and no --d"),
+    (["--model", "perm", "--n-list", "10", "--p-list", "0.1"], "perm takes --d and no --p"),
+    # A rule on one parameter that no seed can fix: exit 1, not a failed row per trial.
+    (["--model", "perm", "--n-list", "30", "60", "--d-list", "4", "3"],
+     "PERMUTATION requires even d, got 3"),
+    (["--model", "perm", "--n-list", "30", "--d-list", "-2"], "negative degree -2"),
+    (["--model", "gnp", "--n-list", "30", "--p-list", "0.1", "1.5"], "p=1.5 outside [0, 1]"),
+    (["--model", "perm", "--n-list", "2147483648", "--d-list", "4"],
+     "vertex count n=2147483648 is not below the limit 2**31 = 2147483648"),
+], ids=["gnp-with-d", "perm-with-p", "odd-perm-d", "negative-d", "p-above-1", "n-at-2**31"])
+def test_experiment_refuses_with_the_samplers_message(tmp_path, capsys, monkeypatch, args,
+                                                      message):
+    def no_draw(*args):
+        raise AssertionError("drew before refusing the grid")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     out = tmp_path / "sweep.csv"
-    code, stdout, err = run_cli(capsys, "experiment", "--n-list", "10", *args, "--out", str(out))
-    assert (code, stdout, err) == (1, "", message)
+    code, stdout, err = run_cli(capsys, "experiment", *args, "--trials", "3", "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not out.exists()  # refused before the first trial
 
 

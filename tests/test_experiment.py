@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 import kplanar.experiment
@@ -101,10 +102,21 @@ class TestRunExperiment:
         ("perm", {"p_list": (0.1,)}, "perm takes --d and no --p"),
         ("perm", {"d_list": (4,), "p_list": (0.1,)}, "perm takes --d and no --p"),
         ("nope", {"d_list": (3,)}, "unknown model 'nope'"),
+        # A rule on one parameter that no seed can fix refuses the grid; it is
+        # not repeated as a failed row in every trial of the cell.
+        ("perm", {"n_list": (30, 60), "d_list": (4, 3)}, "PERMUTATION requires even d, got 3"),
+        ("perm", {"d_list": (-2,)}, "negative degree -2"),
+        ("gnp", {"p_list": (0.1, 1.5)}, "p=1.5 outside [0, 1]"),
+        ("perm", {"n_list": (30, 2**31), "d_list": (4,)},
+         "vertex count n=2147483648 is not below the limit 2**31 = 2147483648"),
     ])
-    def test_grid_refused_with_the_samplers_message(self, model, grid, message):
+    def test_grid_refused_with_the_samplers_message(self, monkeypatch, model, grid, message):
+        def no_draw(*args):
+            raise AssertionError("drew while checking the grid")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig(model=model, n_list=(10,), **grid)
+            ExperimentConfig(model=model, **{"n_list": (10,), "trials": 3, **grid})
 
     def test_odd_n_matching_degree_zero_row_names_the_friedman_requirement(self):
         rec, = run_experiment(small_cfg(n_list=(31,), d_list=(0,), trials=1))
@@ -124,7 +136,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("model,grid", [("gnp", {"p_list": (0.5,)}),
                                             ("matching", {"d_list": (4,)})])
     def test_negative_n_is_refused(self, model, grid):
-        with pytest.raises(ValueError, match=re.escape("need n >= 0, got n=-3")):
+        with pytest.raises(ValueError, match=re.escape("negative vertex count n=-3")):
             ExperimentConfig(model=model, n_list=(10, -3), **grid)
 
     def test_csv_deterministic(self, tmp_path):

@@ -393,7 +393,25 @@ class TestCheckParams:
         ("uniform", 7, None),
     ])
     def test_accepts_the_parameter_its_tag_takes(self, model, d, p):
-        assert check_params(model, d, p) is None
+        assert check_params(model, 10, d, p) is None
+
+    @pytest.mark.parametrize("model,n,d,p", [
+        ("gnp", 0, None, 0.0), ("gnp", 2**31 - 1, None, 1.0),
+        # The rules that tie d to n are the sampler's, so they pass here.
+        ("perm", 3, 4, None), ("matching", 5, 2, None), ("uniform", 5, 3, None),
+    ])
+    def test_accepts_every_n_below_the_limit(self, model, n, d, p):
+        assert check_params(model, n, d, p) is None
+
+    @staticmethod
+    def _refused_before_drawing(monkeypatch, model, n, d, p, message):
+        def no_draw(*args):
+            raise AssertionError("drew while checking the parameters")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for check in (lambda: check_params(model, n, d, p), lambda: sample(model, n, d, p, 0)):
+            with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
+                check()
 
     @pytest.mark.parametrize("model,d,p,message", [
         ("nope", 3, None, "unknown model 'nope'"),
@@ -401,15 +419,24 @@ class TestCheckParams:
         ("cycle", None, 0.1, "cycle takes --d and no --p"),
         ("uniform", 8, None, "UNIFORM_SIMPLE: d=8 expects 6.92e+06 attempts per simple pairing, "
                              "over the budget of 1000000"),
+        ("perm", -2, None, "negative degree -2"),
+        ("uniform", -2, None, "negative degree -2"),
+        ("perm", 3, None, "PERMUTATION requires even d, got 3"),
+        ("cycle", 5, None, "FULL_CYCLE requires even d, got 5"),
+        ("gnp", None, 1.5, "p=1.5 outside [0, 1]"),
+        ("gnp", None, -0.1, "p=-0.1 outside [0, 1]"),
     ])
     def test_refuses_before_drawing(self, monkeypatch, model, d, p, message):
-        def no_draw(*args):
-            raise AssertionError("drew while checking the parameters")
+        self._refused_before_drawing(monkeypatch, model, 10, d, p, message)
 
-        monkeypatch.setattr(np.random, "default_rng", no_draw)
-        for check in (lambda: check_params(model, d, p), lambda: sample(model, 10, d, p, 0)):
-            with pytest.raises(SampleError, match=f"^{re.escape(message)}$"):
-                check()
+    @pytest.mark.parametrize("model,n,d,p,message", [
+        ("gnp", -3, None, 0.5, "negative vertex count n=-3"),
+        ("matching", -3, 2, None, "negative vertex count n=-3"),
+        ("perm", 2**31, 4, None,
+         "vertex count n=2147483648 is not below the limit 2**31 = 2147483648"),
+    ])
+    def test_refuses_n_before_drawing(self, monkeypatch, model, n, d, p, message):
+        self._refused_before_drawing(monkeypatch, model, n, d, p, message)
 
     def test_sample_error_is_a_value_error(self):
         # So a sweep's refusal of its grid is a ValueError, as its other checks are.
