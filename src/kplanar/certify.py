@@ -12,7 +12,6 @@ crossing-number lower bound.  Certificates are pure arithmetic in
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -28,7 +27,6 @@ __all__ = [
     "set_size_t",
     "certify_k_planar_lb",
     "brute_min_pair_density",
-    "estimate_pair_density",
     "min_positive_n",
     "alpha_of",
 ]
@@ -75,7 +73,9 @@ def threshold_c0(k: int) -> int:
 
 def set_size_t(n: int, k: int) -> tuple[int, bool]:
     """Witness-set size ceil(n / (6*3^(k-2))), in integers, and a flag that is
-    False when n is too small for the raw (real-valued) size to reach 1."""
+    False when n is too small for the raw (real-valued) size to reach 1.  No
+    code in the package reads the flag; the pair is kept for callers that
+    unpack it, such as perfbench's workloads."""
     return max(1, -(-n // witness_floor(k))), n >= witness_floor(k)
 
 
@@ -134,10 +134,9 @@ def _chain(n: int, d: int, k: int, mu_safe: float) -> Certificate:
     width = density / k
     sum_sq = n * d * d
     degree_term = 2.0 * math.sqrt(sum_sq)
+    # 0.0 exactly when width <= degree_term, which density <= 0 implies: the
+    # one degeneracy test.
     crossing = pss_lower_bound(max(0.0, width), sum_sq)
-    degenerate = density <= 0.0 or width <= degree_term
-    if degenerate:
-        crossing = 0.0
     return Certificate(
         n=n,
         d=d,
@@ -148,7 +147,7 @@ def _chain(n: int, d: int, k: int, mu_safe: float) -> Certificate:
         width_lb=width,
         degree_term=degree_term,
         crossing_lb=crossing,
-        degenerate=degenerate,
+        degenerate=width <= degree_term,
         constants_ok=d >= threshold_c0(k),
     )
 
@@ -212,36 +211,3 @@ def brute_min_pair_density(g: Graph, t: int) -> int:
                     return 0
     return best
 
-
-def estimate_pair_density(g: Graph, k: int) -> dict:
-    """Non-certified density report for irregular graphs (ESTIMATE only):
-    the exact minimum pair density when brute force fits, else the minimum
-    over 500 seeded random pairs of size-t sets."""
-    n = g.n
-    t, t_ok = set_size_t(n, k)
-    if n < 2 * t:
-        raise GraphError(f"pair density needs two disjoint size-t sets, got n={n} < 2t, t={t}")
-    p_hat = g.num_edges / (n * (n - 1) / 2)
-    if n <= BRUTE_CAP:
-        min_density = brute_min_pair_density(g, t)
-        method = "exhaustive"
-    else:
-        rng = random.Random(0xE57)
-        best = None
-        for _ in range(500):
-            verts = rng.sample(range(n), 2 * t)
-            e = cut_size(g, verts[:t], verts[t:])
-            best = e if best is None else min(best, e)
-        min_density = best
-        method = "sampled-500-pairs"
-    return {
-        "label": "ESTIMATE",
-        "note": "graph is not regular; no certificate, densities are empirical",
-        "t": t,
-        "t_ok": t_ok,
-        "p_hat": p_hat,
-        "min_pair_density": min_density,
-        "method": method,
-        "threshold_half_binom": 0.5 * (t * (t - 1) / 2) * p_hat,
-        "threshold_half_square": 0.5 * t * t * p_hat,
-    }

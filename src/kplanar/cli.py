@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 
-from .certify import certify_k_planar_lb, estimate_pair_density
+from .certify import certify_k_planar_lb
 from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
 from .graph import random_edge_partition, read_edge_list, read_edge_partition, write_edge_list
 from .models import MODELS, sample
@@ -64,9 +64,6 @@ def _cmd_witness(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = read_edge_list(args.infile)
-    if g.regular_degree() is None:
-        _emit(estimate_pair_density(g, args.k), args)
-        return 0
     cert = certify_k_planar_lb(g, args.k, spectral_summary(g))
     _emit(cert.to_dict(), args)
     if not args.quiet:

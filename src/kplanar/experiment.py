@@ -50,17 +50,23 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         floor = witness_floor(self.k)
-        for n, d, p in self.cells or [(self.n_list[0], None, None)]:
+        for n, d, p in self._grid() or [(self.n_list[0], None, None)]:
             check_params(self.model, n, d, p)
         if self.with_witness and min(self.n_list) < floor:
             raise ValueError(f"--witness at k={self.k} needs n >= {floor}, got n={min(self.n_list)}")
 
+    def _grid(self) -> list[tuple]:
+        """(n, d, p) per cell as given, n-major: d is None on G(n, p) and p on the
+        regular models.  One of the two lists is empty, so one of the two terms is too."""
+        return [(n, d, None) for n in self.n_list for d in self.d_list] + [
+            (n, None, p) for n in self.n_list for p in self.p_list]
+
     @property
     def cells(self) -> list[tuple[int, int | None, float | None]]:
-        """(n, d, p) per cell, n-major: d is None on G(n, p) and p on the regular
-        models.  One of the two lists is empty, so one of the two terms is too."""
-        return [(n, int(d), None) for n in self.n_list for d in self.d_list] + [
-            (n, None, float(p)) for n in self.n_list for p in self.p_list]
+        """`_grid()` as Python numbers, so numpy grid values write as JSON.  The
+        casts lose nothing: `__post_init__` refused every non-integer n and d."""
+        return [(int(n), None if d is None else int(d), None if p is None else float(p))
+                for n, d, p in self._grid()]
 
 
 @dataclass
@@ -170,6 +176,8 @@ def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
     so when `records` is computed lazily an interrupted run leaves its
     finished rows on disk.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     # Wall time is opt-in: it would break byte-identical reruns.
     cols = CSV_FIELDS + (["wall_time_s"] if with_timings else [])
     written: list[TrialRecord] = []
@@ -197,13 +205,17 @@ def fit_scaling(records, x_field: str, y_field: str) -> tuple[float, float, int]
     Returns (exponent, r_squared, excluded) where excluded counts rows
     dropped for a nonpositive or missing x or y; a value is missing when it
     is None or "" (a blank CSV cell).  Needs at least 3 distinct surviving
-    x values.
+    x values, and every row to have both fields: FitError names a field that
+    a row lacks.
     """
     xs, ys = [], []
     excluded = 0
     for rec in records:
         row = rec.to_dict() if isinstance(rec, TrialRecord) else rec
-        x, y = row.get(x_field), row.get(y_field)
+        for field in (x_field, y_field):
+            if field not in row:
+                raise FitError(f"unknown field {field!r}")
+        x, y = row[x_field], row[y_field]
         if x in (None, "") or y in (None, "") or float(y) <= 0 or float(x) <= 0:
             excluded += 1
             continue

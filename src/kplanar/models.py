@@ -227,10 +227,12 @@ def sample_regular(n: int, d: int, model: RegularModel, seed: int) -> SampleRepo
 
 def check_params(model: str, n: int, d: int | None, p: float | None) -> None:
     """SampleError unless `model` is a `MODELS` tag, "gnp" has p and no d and
-    every other tag d and no p, 0 <= n < 2**31, d >= 0 and even for
-    PERMUTATION and FULL_CYCLE, p lies in [0, 1], and a UNIFORM_SIMPLE d fits
-    its attempt budget: every rule on one parameter, checked without drawing
-    anything.  The rules that tie d to n are `sample_regular`'s."""
+    every other tag d and no p, n and d are integers (Python or numpy; a
+    float is refused even when integral, as `Graph` refuses float ids),
+    0 <= n < 2**31, d >= 0 and even for PERMUTATION and FULL_CYCLE, p lies in
+    [0, 1], and a UNIFORM_SIMPLE d fits its attempt budget: every rule on one
+    parameter, checked without drawing anything.  The rules that tie d to n
+    are `sample_regular`'s."""
     if model not in MODELS:
         raise SampleError(f"unknown model {model!r}")
     if model == "gnp":
@@ -238,6 +240,8 @@ def check_params(model: str, n: int, d: int | None, p: float | None) -> None:
             raise SampleError("gnp takes --p and no --d")
     elif d is None or p is not None:
         raise SampleError(f"{model} takes --d and no --p")
+    if not isinstance(n, (int, np.integer)):
+        raise SampleError(f"non-integer vertex count n={n!r}")
     if n < 0:
         raise SampleError(f"negative vertex count n={n}")
     if n >= _MAX_N:
@@ -245,6 +249,8 @@ def check_params(model: str, n: int, d: int | None, p: float | None) -> None:
     if model == "gnp":
         if not 0.0 <= p <= 1.0:
             raise SampleError(f"p={p} outside [0, 1]")
+    elif not isinstance(d, (int, np.integer)):
+        raise SampleError(f"non-integer degree d={d!r}")
     elif d < 0:
         raise SampleError(f"negative degree {d}")
     elif d % 2 and RegularModel(model) in (RegularModel.PERMUTATION, RegularModel.FULL_CYCLE):

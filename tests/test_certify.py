@@ -1,11 +1,11 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
-from kplanar.certify import (BRUTE_CAP, brute_min_pair_density,
-                             certify_k_planar_lb, estimate_pair_density,
-                             min_positive_n, mixing_density_lb,
+from kplanar.certify import (BRUTE_CAP, _chain, alpha_of, brute_min_pair_density,
+                             certify_k_planar_lb, min_positive_n, mixing_density_lb,
                              pss_lower_bound, set_size_t, threshold_c0)
 from kplanar.experiment import ExperimentConfig
 from kplanar.graph import Graph, GraphError, cut_size
@@ -13,8 +13,7 @@ from kplanar.models import RegularModel, sample_regular
 from kplanar.partitions import witness_floor
 from kplanar.spectral import spectrum_full
 
-from conftest import (complete_bipartite, complete_graph, cycle_graph, petersen_graph,
-                      random_graph)
+from conftest import complete_bipartite, complete_graph, cycle_graph, petersen_graph
 
 
 class TestMixingDensity:
@@ -132,7 +131,6 @@ class TestCertify:
         assert cert.to_dict()["d"] == 3 and cert.to_dict()["degenerate"] is cert.degenerate
 
     def test_monotone_in_mu_and_k(self):
-        from kplanar.certify import _chain
         n, d = 5_000_000, 128
         lbs = [_chain(n, d, 2, mu).crossing_lb for mu in (20.0, 22.0, 24.0, 30.0)]
         assert all(a >= b for a, b in zip(lbs, lbs[1:]))
@@ -144,7 +142,6 @@ class TestCertify:
         # smallest n with a positive certificate at d=128, k=2, Friedman-level mu
         mu = 2 * math.sqrt(127) + 0.2
         n0 = min_positive_n(128, 2, mu)
-        from kplanar.certify import _chain
         assert _chain(n0, 128, 2, mu).degenerate is False
         assert _chain(n0 - 1, 128, 2, mu).degenerate is True
         # desk-scale operating point is in the millions: documented floor
@@ -155,7 +152,6 @@ class TestCertify:
     def test_min_positive_n_certifies_every_larger_n(self, d, k, n0):
         # Degeneracy is saw-toothed in n (the set size is ceil(n/f)), so n0 is
         # the start of the certified tail, not the first certified n.
-        from kplanar.certify import _chain
         mu = 2 * math.sqrt(d - 1) + 0.2
         assert min_positive_n(d, k, mu) == n0
         assert _chain(n0 - 1, d, k, mu).degenerate is True
@@ -166,6 +162,46 @@ class TestCertify:
         # d = 100, k = 2: (d + mu)/36 < mu/6, so every multiple of 6 is degenerate.
         with pytest.raises(ValueError, match="for d=100, k=2 at n divisible by 6"):
             min_positive_n(100, 2, 2 * math.sqrt(99) + 0.2)
+
+    @staticmethod
+    def _two_test_chain(n, d, k, mu_safe):
+        """`_chain`'s fields as computed when it tested degeneracy twice (density
+        <= 0, then width <= degree_term) and zeroed crossing_lb on either: the
+        reference for the one-test form."""
+        alpha = alpha_of(k)
+        t = set_size_t(n, k)[0]
+        alpha_int = t / n
+        if alpha_int >= 1.0:
+            alpha_int = alpha
+        density = mixing_density_lb(n, d, mu_safe, alpha_int, alpha_int)
+        width = density / k
+        sum_sq = n * d * d
+        degree_term = 2.0 * math.sqrt(sum_sq)
+        crossing = pss_lower_bound(max(0.0, width), sum_sq)
+        degenerate = density <= 0.0 or width <= degree_term
+        if degenerate:
+            crossing = 0.0
+        return dict(n=n, d=d, k=k, mu_safe=mu_safe, alpha=alpha, density_lb=density,
+                    width_lb=width, degree_term=degree_term, crossing_lb=crossing,
+                    degenerate=degenerate, constants_ok=d >= threshold_c0(k))
+
+    def test_degeneracy_is_the_one_zero_test(self):
+        rnd = random.Random(0)
+        # Either side of the d = 576 operating point's last degenerate n, then a
+        # seeded grid; mu = d * u**4 puts two thirds of the cases below d/5,
+        # where k = 2 certificates can be non-degenerate.
+        friedman = 2 * math.sqrt(575) + 0.2
+        cases = [(61_224, 576, 2, friedman), (61_225, 576, 2, friedman)]
+        for _ in range(5000):
+            n, d, k = rnd.randint(1, 10**7), rnd.randint(0, 3000), rnd.randint(2, 5)
+            cases.append((n, d, k, d * rnd.random() ** 4))
+        degenerate = []
+        for n, d, k, mu in cases:
+            cert = _chain(n, d, k, mu)
+            assert cert.degenerate == (cert.crossing_lb == 0.0), (n, d, k, mu)
+            assert cert.to_dict() == self._two_test_chain(n, d, k, mu), (n, d, k, mu)
+            degenerate.append(cert.degenerate)
+        assert degenerate[:2] == [True, False] and 0.1 < sum(degenerate) / len(cases) < 0.9
 
     def test_transcript_mentions_bound(self):
         g = cycle_graph(9)
@@ -197,17 +233,3 @@ class TestBruteDensity:
                     lb = mixing_density_lb(n, d, mu, t / n, t / n)
                     assert brute_min_pair_density(g, t) >= lb - 1e-9
 
-
-class TestEstimateDensity:
-    def test_small_graph_is_exhaustive(self):
-        g = random_graph(10, 0.4, 7)
-        est = estimate_pair_density(g, 2)
-        assert est["label"] == "ESTIMATE" and est["method"] == "exhaustive"
-        assert est["min_pair_density"] == brute_min_pair_density(g, est["t"])
-
-    def test_large_graph_is_sampled_and_seeded(self):
-        g = random_graph(40, 0.2, 3)
-        est = estimate_pair_density(g, 2)
-        assert est["method"] == "sampled-500-pairs"
-        assert 0 <= est["min_pair_density"] <= est["t"] ** 2
-        assert est == estimate_pair_density(g, 2)

@@ -380,23 +380,23 @@ def test_certify_regular(tmp_path, capsys):
     assert "degenerate" in stdout and "cr_2(G)" in stdout
 
 
-def test_certify_irregular_is_estimate(tmp_path, capsys):
+def test_certify_refuses_an_irregular_graph(tmp_path, capsys):
+    g = random_graph(10, 0.4, 7)
     path = str(tmp_path / "irr.txt")
-    write_edge_list(path, random_graph(10, 0.4, 7))
-    code, stdout, _ = run_cli(capsys, "certify", "--in", path, "--k", "2")
-    assert code == 0
-    est = json.loads(stdout)
-    assert est["label"] == "ESTIMATE"
-    assert "threshold_half_binom" in est and "threshold_half_square" in est
+    write_edge_list(path, g)
+    code, stdout, err = run_cli(capsys, "certify", "--in", path, "--k", "2")
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: graph is not regular (degrees {sorted(set(g.degrees.tolist()))}); "
+                   f"cannot certify\n")
 
 
 def test_certify_refuses_a_graph_too_small_for_two_sets(tmp_path, capsys):
-    # The empty graph is not regular, so it takes the estimate path, which needs 2t vertices.
+    # The empty graph has no degree to be regular in, so certify refuses it.
     path = tmp_path / "empty.txt"
     path.write_text("0 0\n")
     code, stdout, err = run_cli(capsys, "certify", "--in", str(path), "--k", "2")
     assert (code, stdout) == (1, "")
-    assert err == "error: pair density needs two disjoint size-t sets, got n=0 < 2t, t=1\n"
+    assert err == "error: graph is not regular (degrees []); cannot certify\n"
 
 
 def test_experiment_and_fit(tmp_path, capsys):
@@ -409,6 +409,15 @@ def test_experiment_and_fit(tmp_path, capsys):
     assert code == 0
     fit = json.loads(stdout)
     assert fit["exponent"] == pytest.approx(1.0, abs=0.1)
+
+
+def test_fit_names_a_field_the_sweep_lacks(tmp_path, capsys):
+    out = str(tmp_path / "sweep.csv")
+    run_cli(capsys, "experiment", "--model", "matching", "--n-list", "20", "30", "40",
+            "--d-list", "4", "--seed", "7", "--out", out)
+    code, stdout, err = run_cli(capsys, "fit", "--in", out, "--x", "n", "--y", "crossing_lbb")
+    assert (code, stdout) == (1, "")
+    assert err == "error: unknown field 'crossing_lbb'\n"
 
 
 def test_experiment_partial_failure_exit_code(tmp_path, capsys):

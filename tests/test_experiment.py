@@ -109,6 +109,10 @@ class TestRunExperiment:
         ("gnp", {"p_list": (0.1, 1.5)}, "p=1.5 outside [0, 1]"),
         ("perm", {"n_list": (30, 2**31), "d_list": (4,)},
          "vertex count n=2147483648 is not below the limit 2**31 = 2147483648"),
+        # The raw grid value is checked, not its cast: 4.7 is not run as d = 4.
+        ("perm", {"d_list": (4.7,)}, "non-integer degree d=4.7"),
+        ("perm", {"n_list": (30.9,), "d_list": (4,)}, "non-integer vertex count n=30.9"),
+        ("gnp", {"n_list": (30, 40.0), "p_list": (0.5,)}, "non-integer vertex count n=40.0"),
     ])
     def test_grid_refused_with_the_samplers_message(self, monkeypatch, model, grid, message):
         def no_draw(*args):
@@ -172,6 +176,24 @@ class TestRunExperiment:
         header = open(csv_path).readline().strip().split(",")
         assert all(list(row) == header for row in json.load(open(json_path)))
         assert ("wall_time_s" in header) is with_timings
+
+    def test_numpy_grid_values_write_as_json(self, tmp_path):
+        import json
+        path = str(tmp_path / "r.json")
+        run_experiment(small_cfg(n_list=(np.int64(30),), d_list=(np.int32(4),), trials=1),
+                       out_path=path, fmt="json")
+        row, = json.load(open(path))
+        assert (row["n"], row["d"], row["failed"]) == (30, 4, False)
+
+    def test_unknown_format_is_refused_before_the_file_is_opened(self, tmp_path, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("ran a trial before checking the format")
+
+        monkeypatch.setattr(kplanar.experiment, "_run_trial", no_trial)
+        path = tmp_path / "r.xml"
+        with pytest.raises(ValueError, match=r"^unknown format 'xml'; expected 'csv' or 'json'$"):
+            run_experiment(small_cfg(), out_path=str(path), fmt="xml")
+        assert not path.exists()
 
     def test_json_writer_reads_each_record_once(self, tmp_path, monkeypatch):
         recs = run_experiment(small_cfg(trials=3))

@@ -438,6 +438,23 @@ class TestCheckParams:
     def test_refuses_n_before_drawing(self, monkeypatch, model, n, d, p, message):
         self._refused_before_drawing(monkeypatch, model, n, d, p, message)
 
+    # A float is refused even when integral, as Graph refuses float vertex ids.
+    @pytest.mark.parametrize("model,n,d,p,message", [
+        ("gnp", 30.9, None, 0.5, "non-integer vertex count n=30.9"),
+        ("perm", 30.0, 4, None, "non-integer vertex count n=30.0"),
+        ("perm", "30", 4, None, "non-integer vertex count n='30'"),
+        ("perm", 30, 4.7, None, "non-integer degree d=4.7"),
+        ("matching", 30, 4.0, None, "non-integer degree d=4.0"),
+        ("uniform", 30, np.float64(3.0), None, "non-integer degree d=np.float64(3.0)"),
+    ])
+    def test_refuses_a_non_integer_n_or_d(self, monkeypatch, model, n, d, p, message):
+        self._refused_before_drawing(monkeypatch, model, n, d, p, message)
+
+    @pytest.mark.parametrize("n,d", [(np.int64(30), 4), (30, np.int32(4)),
+                                     (np.uint16(30), np.int8(2))])
+    def test_accepts_numpy_integers(self, n, d):
+        assert check_params("perm", n, d, None) is None
+
     def test_sample_error_is_a_value_error(self):
         # So a sweep's refusal of its grid is a ValueError, as its other checks are.
         assert issubclass(SampleError, ValueError)

@@ -25,11 +25,9 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
-# Modules that may import the stdlib `random`, each with the reason; every
-# other seeded draw comes from a numpy Generator.
-RANDOM_IMPORTERS = {
-    "certify.py": "estimate_pair_density's sampled pairs; ROADMAP item 2 deletes that estimator",
-}
+# Modules that may import the stdlib `random`, each with the reason: none, as
+# every seeded draw comes from a numpy Generator.
+RANDOM_IMPORTERS: dict[str, str] = {}
 
 
 def _importers(package: str) -> set[str]:
