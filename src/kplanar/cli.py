@@ -12,11 +12,10 @@ import json
 import sys
 
 from .certify import certify_k_planar_lb
-from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment
-from .graph import random_edge_partition, read_edge_list, read_edge_partition, write_edge_list
+from .experiment import ExperimentConfig, FitError, fit_scaling, run_experiment, seeded_witness
+from .graph import read_edge_list, read_edge_partition, write_edge_list
 from .models import MODELS, sample
-from .partitions import exact_bisection, local_search_bisection, witness_chain
-from .seeds import derive_seed
+from .partitions import exact_bisection, local_search_bisection
 from .spectral import SpectralError, spectral_summary
 
 
@@ -51,14 +50,10 @@ def _cmd_bisect(args) -> int:
 
 def _cmd_witness(args) -> int:
     if args.partition == "random":
-        g = read_edge_list(args.infile)
-        ep = random_edge_partition(g, args.k, args.seed)
+        g, ep = read_edge_list(args.infile), None
     else:
         g, ep = read_edge_partition(args.infile, args.partition, args.k)
-    chain = witness_chain(
-        g, ep, lambda h: local_search_bisection(h, derive_seed(args.seed, 7), args.restarts)
-    )
-    _emit(chain.to_dict(), args)
+    _emit(seeded_witness(g, args.k, args.seed, args.restarts, ep).to_dict(), args)
     return 0
 
 

@@ -19,14 +19,17 @@ from typing import Iterable
 import numpy as np
 
 from .certify import certify_k_planar_lb
-from .graph import random_edge_partition
+from .graph import EdgePartition, Graph, random_edge_partition
 from .models import check_params, max_degree_ok, sample
-from .partitions import local_search_bisection, witness_chain, witness_floor
+from .partitions import WitnessChain, local_search_bisection, witness_chain, witness_floor
 from .seeds import derive_seed
 from .spectral import friedman_check, spectral_summary
 
-__all__ = ["ExperimentConfig", "TrialRecord", "run_experiment", "write_records",
-           "fit_scaling", "summarize_frequencies", "FitError"]
+__all__ = ["ExperimentConfig", "TrialRecord", "run_experiment", "seeded_witness",
+           "write_records", "fit_scaling", "summarize_frequencies", "FitError"]
+
+WITNESS_RESTARTS = 4  # local-search restarts per witness level in a sweep row
+
 
 class FitError(RuntimeError):
     pass
@@ -102,6 +105,16 @@ class TrialRecord:
 CSV_FIELDS = [f.name for f in fields(TrialRecord) if f.name != "wall_time_s"]
 
 
+def seeded_witness(g: Graph, k: int, seed: int, restarts: int = WITNESS_RESTARTS,
+                   ep: EdgePartition | None = None) -> WitnessChain:
+    """A sweep row's witness chain, which `kplanar witness` re-derives: `ep`, or the
+    random k-class edge partition drawn from derive_seed(seed, 1), bisected at
+    every level by local search seeded with derive_seed(seed, 2)."""
+    if ep is None:
+        ep = random_edge_partition(g, k, derive_seed(seed, 1))
+    return witness_chain(g, ep, lambda h: local_search_bisection(h, derive_seed(seed, 2), restarts))
+
+
 def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, trial: int,
                seed: int) -> TrialRecord:
     rec = TrialRecord(model=cfg.model, n=n, d=d, p=p, k=cfg.k, trial=trial, seed=seed)
@@ -116,7 +129,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, tr
             summary = spectral_summary(g)
             rec.mu_safe = summary.mu_safe
             if g.regular_degree() == d:
-                rec.friedman_ok = friedman_check(g, d, summary=summary)
+                rec.friedman_ok = friedman_check(g, d, summary)
                 cert = certify_k_planar_lb(g, cfg.k, summary)
                 rec.density_lb = cert.density_lb
                 rec.width_lb = cert.width_lb
@@ -124,12 +137,14 @@ def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, tr
                 rec.crossing_lb = cert.crossing_lb
                 rec.degenerate = cert.degenerate
         if cfg.with_witness:
-            ep = random_edge_partition(g, cfg.k, derive_seed(seed, 1))
-            chain = witness_chain(
-                g, ep, lambda h: local_search_bisection(h, derive_seed(seed, 2), restarts=4)
-            )
+            chain = seeded_witness(g, cfg.k, seed)
             rec.e_ab = chain.e_ab
             rec.width_sum = chain.width_sum
+            # The witness sets hold >= set_size_t vertices each, so the mixing
+            # bound on every such pair cannot exceed their edge count.
+            if rec.density_lb is not None and rec.density_lb > chain.e_ab:
+                raise AssertionError(f"mixing bound {rec.density_lb!r} exceeds the witness's "
+                                     f"e(A,B)={chain.e_ab}")
     except AssertionError:
         raise
     except Exception as exc:  # per-row failure, sweep continues
@@ -199,28 +214,42 @@ def write_records(records: Iterable[TrialRecord], path: str, fmt: str = "csv",
     return written
 
 
+def _number(row: dict, field: str, i: int) -> float | None:
+    """Row i's `field` as a finite float, or None when it is missing."""
+    if field not in row:
+        raise FitError(f"unknown field {field!r}")
+    v = row[field]
+    if v in (None, ""):
+        return None
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(v, bool) or not math.isfinite(x):
+        raise FitError(f"field {field!r} is not a number in row {i}: {v!r}")
+    return x
+
+
 def fit_scaling(records, x_field: str, y_field: str) -> tuple[float, float, int]:
     """Least-squares slope of log y against log x.
 
     Returns (exponent, r_squared, excluded) where excluded counts rows
     dropped for a nonpositive or missing x or y; a value is missing when it
     is None or "" (a blank CSV cell).  Needs at least 3 distinct surviving
-    x values, and every row to have both fields: FitError names a field that
-    a row lacks.
+    x values, and every row to hold both fields as finite numbers: FitError
+    names a field that a row lacks, or the first row (counted from 1) whose
+    cell is not one, such as a flag, the model tag or "nan".
     """
     xs, ys = [], []
     excluded = 0
-    for rec in records:
+    for i, rec in enumerate(records, 1):
         row = rec.to_dict() if isinstance(rec, TrialRecord) else rec
-        for field in (x_field, y_field):
-            if field not in row:
-                raise FitError(f"unknown field {field!r}")
-        x, y = row[x_field], row[y_field]
-        if x in (None, "") or y in (None, "") or float(y) <= 0 or float(x) <= 0:
+        x, y = (_number(row, field, i) for field in (x_field, y_field))
+        if x is None or y is None or x <= 0 or y <= 0:
             excluded += 1
             continue
-        xs.append(math.log(float(x)))
-        ys.append(math.log(float(y)))
+        xs.append(math.log(x))
+        ys.append(math.log(y))
     if len(set(xs)) < 3:
         raise FitError(
             f"need >= 3 distinct positive x values, have {len(set(xs))} "

@@ -229,8 +229,9 @@ def check_params(model: str, n: int, d: int | None, p: float | None) -> None:
     """SampleError unless `model` is a `MODELS` tag, "gnp" has p and no d and
     every other tag d and no p, n and d are integers (Python or numpy; a
     float is refused even when integral, as `Graph` refuses float ids),
-    0 <= n < 2**31, d >= 0 and even for PERMUTATION and FULL_CYCLE, p lies in
-    [0, 1], and a UNIFORM_SIMPLE d fits its attempt budget: every rule on one
+    0 <= n < 2**31, d >= 0 and even for PERMUTATION and FULL_CYCLE, p is a
+    Python or numpy int or float in [0, 1], and a UNIFORM_SIMPLE d fits its
+    attempt budget: every rule on one
     parameter, checked without drawing anything.  The rules that tie d to n
     are `sample_regular`'s."""
     if model not in MODELS:
@@ -247,6 +248,8 @@ def check_params(model: str, n: int, d: int | None, p: float | None) -> None:
     if n >= _MAX_N:
         raise SampleError(f"vertex count n={n} is not below the limit 2**31 = {_MAX_N}")
     if model == "gnp":
+        if not isinstance(p, (int, float, np.integer, np.floating)):
+            raise SampleError(f"non-numeric edge probability p={p!r}")
         if not 0.0 <= p <= 1.0:
             raise SampleError(f"p={p} outside [0, 1]")
     elif not isinstance(d, (int, np.integer)):

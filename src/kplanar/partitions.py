@@ -315,7 +315,10 @@ def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessC
     trim to equal halves (A_{i+1}, B_{i+1}), which are carried on with
     Y_{i+1} = A_{i+1} + B_{i+1}.  Every original edge between the final A
     and B crosses the bisection at its own class's level, so
-    e(A, B) <= sum of widths for any valid oracle.
+    e(A, B) <= sum of widths for any valid oracle.  Each split keeps at least
+    a sixth of its ground set on each side, and both sides are the next
+    ground set, so |A| = |B| >= ceil(n / witness_floor(k)).  Both
+    inequalities are checked.
     """
     k = ep.k
     if g.n < witness_floor(k):
@@ -334,6 +337,10 @@ def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessC
         ground = carried.ground
         y_sets.append(ground)
 
+    size = -(-g.n // witness_floor(k))
+    if not len(a) == len(b) >= size:
+        raise AssertionError(f"witness sets of sizes {len(a)}, {len(b)}; need equal sizes "
+                             f">= ceil(n/{witness_floor(k)}) = {size}")
     e_ab = cut_size(g, a, b)
     chain = WitnessChain(tuple(levels), tuple(y_sets), a, b, e_ab)
     if e_ab > chain.width_sum:

@@ -58,6 +58,8 @@ DENSE_CAP = 2000
 # cutover stays at 400.
 DENSE_CUTOVER = 400
 MATVEC_BUDGET = 100_000  # products with A, whichever operator Lanczos runs on
+# friedman_check's slack over the Ramanujan bound 2 sqrt(d-1).
+FRIEDMAN_EPS = 0.2
 # mu_bound iterates on A^4 below this average degree 2m/n, on A from it up.
 # Seconds per call on A against A^4 (the faster of two calls, over the graphs
 # of seeds 1 and 2), d-regular permutation graphs, one BLAS thread, 2-vCPU
@@ -240,10 +242,9 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     return mu_bound(g)
 
 
-def friedman_check(
-    g: Graph, d: int, eps: float = 0.2, summary: SpectralSummary | None = None
-) -> bool:
-    """True iff mu(g) <= 2 sqrt(d-1) + eps for a d-regular graph g.
+def friedman_check(g: Graph, d: int, summary: SpectralSummary) -> bool:
+    """True iff mu(g) <= 2 sqrt(d-1) + FRIEDMAN_EPS for a d-regular graph g
+    whose `spectral_summary` is `summary`.
 
     Uses the safe upper estimate mu + residual, so a True answer is robust
     to eigensolver error.
@@ -252,6 +253,4 @@ def friedman_check(
         raise ValueError(f"friedman_check needs d >= 1 (got d={d})")
     if g.regular_degree() != d:
         raise ValueError(f"graph is not {d}-regular (degrees {sorted(set(g.degrees.tolist()))})")
-    if summary is None:
-        summary = spectral_summary(g)
-    return summary.mu_safe <= 2.0 * math.sqrt(d - 1) + eps
+    return summary.mu_safe <= 2.0 * math.sqrt(d - 1) + FRIEDMAN_EPS

@@ -1,4 +1,6 @@
+import pathlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -33,6 +35,16 @@ def petersen_graph() -> Graph:
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rnd = random.Random(seed)
     return Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+def readme_commands() -> list[str]:
+    """Every `kplanar ...` command in README.md's sh blocks, with backslash
+    continuations joined and comments dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.split("#")[0].strip() for line in lines
+            if line.strip().startswith("kplanar ")]
 
 
 @st.composite

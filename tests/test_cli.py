@@ -1,7 +1,7 @@
 import argparse
 import csv
+import dataclasses
 import json
-import pathlib
 import random
 import re
 import shlex
@@ -11,10 +11,12 @@ import pytest
 
 import kplanar.experiment
 from kplanar.cli import build_parser, main
+from kplanar.experiment import WITNESS_RESTARTS, _fmt_value
 from kplanar.graph import write_edge_list
 from kplanar.models import RegularModel, sample_regular
 
-from conftest import complete_graph, cycle_graph, petersen_graph, random_graph
+from conftest import (complete_graph, cycle_graph, petersen_graph, random_graph,
+                      readme_commands)
 
 
 def run_cli(capsys, *argv):
@@ -420,6 +422,16 @@ def test_fit_names_a_field_the_sweep_lacks(tmp_path, capsys):
     assert err == "error: unknown field 'crossing_lbb'\n"
 
 
+@pytest.mark.parametrize("y,cell", [("failed", "false"), ("model", "matching")])
+def test_fit_names_a_cell_that_is_not_a_number(tmp_path, capsys, y, cell):
+    out = str(tmp_path / "sweep.csv")
+    run_cli(capsys, "experiment", "--model", "matching", "--n-list", "20", "30", "40",
+            "--d-list", "4", "--seed", "7", "--out", out)
+    code, stdout, err = run_cli(capsys, "fit", "--in", out, "--x", "n", "--y", y)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: field {y!r} is not a number in row 1: {cell!r}\n"
+
+
 def test_experiment_partial_failure_exit_code(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run_cli(capsys, "experiment", "--model", "matching",
@@ -526,23 +538,72 @@ def test_experiment_invariant_violation_exit_code(tmp_path, monkeypatch, capsys)
     assert "invariant violated: witness-chain inequality violated" in err
 
 
+@pytest.mark.parametrize("excess,code", [(0, 0), (1, 3)])
+def test_experiment_mixing_bound_above_the_witness_is_an_invariant_violation(
+        tmp_path, monkeypatch, capsys, excess, code):
+    # The witness sets are at least as large as the certificate's, so a row's
+    # density_lb may reach its e_ab but never pass it.
+    argv = ["experiment", "--model", "uniform", "--n-list", "60", "--d-list", "4", "--seed", "5",
+            "--witness", "--out", str(tmp_path / "s.csv")]
+    assert run_cli(capsys, *argv)[0] == 0
+    e_ab = int(next(csv.DictReader(open(tmp_path / "s.csv")))["e_ab"])
+    real = kplanar.experiment.certify_k_planar_lb
+    density_lb = float(e_ab + excess)
+    monkeypatch.setattr(kplanar.experiment, "certify_k_planar_lb",
+                        lambda *args: dataclasses.replace(real(*args), density_lb=density_lb))
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    if code:
+        assert err == (f"invariant violated: mixing bound {density_lb!r} exceeds the "
+                       f"witness's e(A,B)={e_ab}\n")
+
+
+def _json_head(stdout: str) -> dict:
+    """The JSON object a command prints first (certify follows it with its transcript)."""
+    return json.JSONDecoder().raw_decode(stdout)[0]
+
+
+@pytest.mark.parametrize("model,grid,k", [
+    ("uniform", ["--n-list", "30", "60", "--d-list", "4"], 2),
+    ("gnp", ["--n-list", "30", "45", "--p-list", "0.2"], 3),
+], ids=["uniform-k2", "gnp-k3"])
+def test_sweep_rows_rederive_from_the_cli(tmp_path, capsys, model, grid, k):
+    # A row's seed column is all the CLI needs: sample + certify give its mu_safe
+    # and certificate columns, witness at the sweep's restarts its e_ab and width_sum.
+    sweep = str(tmp_path / "sweep.csv")
+    assert run_cli(capsys, "experiment", "--model", model, *grid, "--k", str(k), "--trials", "2",
+                   "--seed", "5", "--witness", "--out", sweep)[0] == 0
+    rows = list(csv.DictReader(open(sweep)))
+    assert len(rows) == 4
+    gpath = str(tmp_path / "g.edges")
+    certified = 0
+    for row in rows:
+        param = ["--p", row["p"]] if model == "gnp" else ["--d", row["d"]]
+        assert run_cli(capsys, "sample", "--model", model, "--n", row["n"], *param,
+                       "--seed", row["seed"], "--out", gpath, "--quiet")[0] == 0
+        code, stdout, _ = run_cli(capsys, "witness", "--in", gpath, "--k", str(k),
+                                  "--seed", row["seed"], "--restarts", str(WITNESS_RESTARTS))
+        chain = _json_head(stdout)
+        assert code == 0 and row["e_ab"] == str(chain["e_ab"])
+        assert row["width_sum"] == str(chain["width_sum"])
+        if row["density_lb"]:
+            code, stdout, _ = run_cli(capsys, "certify", "--in", gpath, "--k", str(k))
+            cert = _json_head(stdout)
+            assert code == 0
+            for col in ("mu_safe", "density_lb", "width_lb", "degree_term", "crossing_lb",
+                        "degenerate"):
+                assert row[col] == _fmt_value(cert[col]), col
+            certified += 1
+    assert certified == (len(rows) if model == "uniform" else 0)
+
+
 def test_missing_file_is_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--in", "/nonexistent/g.txt")
     assert code == 1 and "error" in err
 
 
-def _readme_commands() -> list[str]:
-    """Every `kplanar ...` command in README.md's sh blocks, with backslash
-    continuations joined."""
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S)
-    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    return [line.split("#")[0].strip() for line in lines
-            if line.strip().startswith("kplanar ")]
-
-
 def test_readme_commands_parse():
-    commands = _readme_commands()
+    commands = readme_commands()
     assert len(commands) >= 7
     for command in commands:
         build_parser().parse_args(shlex.split(command)[1:])

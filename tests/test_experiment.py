@@ -113,6 +113,7 @@ class TestRunExperiment:
         ("perm", {"d_list": (4.7,)}, "non-integer degree d=4.7"),
         ("perm", {"n_list": (30.9,), "d_list": (4,)}, "non-integer vertex count n=30.9"),
         ("gnp", {"n_list": (30, 40.0), "p_list": (0.5,)}, "non-integer vertex count n=40.0"),
+        ("gnp", {"n_list": (30,), "p_list": ("0.5",)}, "non-numeric edge probability p='0.5'"),
     ])
     def test_grid_refused_with_the_samplers_message(self, monkeypatch, model, grid, message):
         def no_draw(*args):
@@ -233,6 +234,14 @@ class TestFitScaling:
     def test_too_few_points(self):
         with pytest.raises(FitError):
             fit_scaling([{"x": 1, "y": 1}, {"x": 2, "y": 4}], "x", "y")
+
+    @pytest.mark.parametrize("bad", [True, "x1", [3], "nan", "inf", float("-inf")])
+    def test_names_the_first_row_that_is_not_a_number(self, bad):
+        # A record's flag is refused as its CSV text is, not fitted as 0 or 1.
+        rows = [{"x": 1, "y": 1}, {"x": 2, "y": ""}, {"x": 4, "y": bad}, {"x": 8, "y": "z"}]
+        message = f"field 'y' is not a number in row 3: {bad!r}"
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            fit_scaling(rows, "x", "y")
 
 
 class TestSummarize:

@@ -391,6 +391,8 @@ class TestCheckParams:
     @pytest.mark.parametrize("model,d,p", [
         ("gnp", None, 0.1), ("perm", 4, None), ("cycle", 0, None), ("matching", 3, None),
         ("uniform", 7, None),
+        # p is any Python or numpy int or float.
+        ("gnp", None, 1), ("gnp", None, np.int64(0)), ("gnp", None, np.float32(0.5)),
     ])
     def test_accepts_the_parameter_its_tag_takes(self, model, d, p):
         assert check_params(model, 10, d, p) is None
@@ -425,6 +427,9 @@ class TestCheckParams:
         ("cycle", 5, None, "FULL_CYCLE requires even d, got 5"),
         ("gnp", None, 1.5, "p=1.5 outside [0, 1]"),
         ("gnp", None, -0.1, "p=-0.1 outside [0, 1]"),
+        ("gnp", None, "0.5", "non-numeric edge probability p='0.5'"),
+        ("gnp", None, [0.5], "non-numeric edge probability p=[0.5]"),
+        ("gnp", None, 1j, "non-numeric edge probability p=1j"),
     ])
     def test_refuses_before_drawing(self, monkeypatch, model, d, p, message):
         self._refused_before_drawing(monkeypatch, model, 10, d, p, message)

@@ -361,6 +361,29 @@ class TestWitnessChain:
         t = math.ceil(n / (6 * 3 ** (k - 2)))
         assert len(chain.A) == len(chain.B) >= t
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sets_reach_the_size_bound(self, k):
+        # |A| = |B| >= ceil(n / witness_floor(k)), and some chains meet it exactly.
+        floor, tight = witness_floor(k), 0
+        for n in range(floor, floor + 12):
+            for seed in range(3):
+                g = random_graph(n, 0.3, seed)
+                ep = random_edge_partition(g, k, seed)
+                chain = witness_chain(g, ep, lambda h: local_search_bisection(h, seed, 1))
+                size = math.ceil(n / floor)
+                assert len(chain.A) == len(chain.B) >= size
+                tight += len(chain.A) == size
+        assert tight > 0
+
+    @pytest.mark.parametrize("trim", [lambda y1, y2: (y1, y2[1:]),
+                                      lambda y1, y2: (y1[:1], y2[:1])], ids=["unequal", "small"])
+    def test_set_sizes_are_an_invariant(self, monkeypatch, trim):
+        monkeypatch.setattr(kplanar.partitions, "_trim_equal", trim)
+        g = random_graph(30, 0.3, 4)
+        with pytest.raises(AssertionError, match=re.escape("need equal sizes >= ceil(n/6) = 5")):
+            witness_chain(g, random_edge_partition(g, 2, seed=4),
+                          lambda h: local_search_bisection(h, 4))
+
     def test_every_ab_edge_is_cut_at_its_level(self):
         # the structural reason the inequality is a theorem
         g = random_graph(30, 0.3, 4)

@@ -4,10 +4,13 @@ import importlib
 import inspect
 import pathlib
 import re
+import shlex
 
-from kplanar.cli import build_parser
+from kplanar.cli import build_parser, main
 from kplanar.graph import Graph
 from kplanar.models import MODELS
+
+from conftest import readme_commands
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kplanar"
 
@@ -77,7 +80,6 @@ UNREFERENCED_EXPORTS = {
     "summarize_frequencies": "acceptance criterion 4 computes the Friedman rate with it",
     "BisectionResult": "the type a bisection oracle returns, so custom oracles build it",
     "WitnessLevel": "the type of WitnessChain.levels",
-    "WitnessChain": "the type that witness_chain returns",
     "lemma1_split": "the pigeonhole split; acceptance criterion 3 checks it exhaustively",
     "mu_bound": "spectral_summary's Lanczos path; tests check it against the dense solver",
     "mix64": "the splitmix64 finalizer derive_seed is built from; tests pin its test vectors",
@@ -183,6 +185,17 @@ def test_only_models_knows_the_sampling_rules():
     assert offenders == []
 
 
+def test_one_witness_recipe():
+    # `experiment.seeded_witness` draws the edge partition and seeds the oracle
+    # for the sweep and `kplanar witness` alike, so the CLI derives no seed.
+    calls = {name: [path for path, _ in _calls(name)]
+             for name in ("witness_chain", "random_edge_partition", "derive_seed")}
+    assert calls["witness_chain"] == ["experiment.py"]
+    assert calls["random_edge_partition"] == ["experiment.py"]
+    assert "cli.py" not in calls["derive_seed"]
+    assert [path for path, _ in _calls("local_search_bisection")].count("experiment.py") == 1
+
+
 def test_every_eigsh_call_seeds_its_vectors():
     # Left unseeded, ARPACK's restart vectors come from OS entropy, and a Lanczos
     # row whose Krylov space closes early changes its last digits from run to run.
@@ -199,6 +212,15 @@ def test_readme_library_imports_resolve():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # The CLI walkthrough runs as written, top to bottom, in an empty directory.
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, (command, capsys.readouterr().err)
 
 
 def test_every_cli_flag_is_read():

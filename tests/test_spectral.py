@@ -14,8 +14,9 @@ from hypothesis import given, settings
 import kplanar.spectral
 from kplanar.graph import Graph
 from kplanar.models import RegularModel, sample_regular
-from kplanar.spectral import (POWER_BELOW_DEGREE, TOL, SpectralError, _adjacency, _connected,
-                              friedman_check, mu_bound, spectral_summary, spectrum_full)
+from kplanar.spectral import (FRIEDMAN_EPS, POWER_BELOW_DEGREE, TOL, SpectralError, _adjacency,
+                              _connected, friedman_check, mu_bound, spectral_summary,
+                              spectrum_full)
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph, path_graph,
                       petersen_graph, random_graph, simple_edge_lists)
@@ -309,20 +310,26 @@ def test_mu_safe_is_upper_only():
     assert it.mu_safe >= dense.mu - 1e-8
 
 
+def _friedman(g, d):
+    return friedman_check(g, d, spectral_summary(g))
+
+
 def test_friedman_check_cycles():
-    # odd cycles: mu = 2 cos(pi/n) < 2 = 2 sqrt(d-1), true even at eps = 0
-    for n in (5, 7, 9):
-        assert friedman_check(cycle_graph(n), 2, eps=0.0)
-    # even cycles are bipartite with mu = 2 exactly: any positive eps passes
-    assert friedman_check(cycle_graph(6), 2, eps=1e-6)
+    # mu = 2 cos(pi/n) < 2 = 2 sqrt(d-1) on odd cycles; even cycles are
+    # bipartite with mu = 2 exactly, so they pass on the slack alone.
+    for n in (5, 6, 7, 9):
+        assert _friedman(cycle_graph(n), 2)
 
 
 def test_friedman_check_k4(k4):
-    assert friedman_check(k4, 3, eps=0.2)
+    assert _friedman(k4, 3)
 
 
-def test_friedman_check_k33_fails():
-    assert not friedman_check(complete_bipartite(3, 3), 3, eps=0.1)
+def test_friedman_check_separates_k33_from_k44():
+    # mu = d on K_{d,d}: 3 < 2 sqrt(2) + 0.2 = 3.03, but 4 > 2 sqrt(3) + 0.2 = 3.66.
+    assert FRIEDMAN_EPS == 0.2
+    assert _friedman(complete_bipartite(3, 3), 3)
+    assert not _friedman(complete_bipartite(4, 4), 4)
 
 
 def test_spectral_summary_cutover_at_400():
@@ -343,16 +350,11 @@ def test_mu_bound_refuses_graphs_without_room(g):
         mu_bound(g)
 
 
-def test_friedman_check_default_uses_spectral_summary():
-    g = sample_regular(600, 4, RegularModel.UNIFORM_SIMPLE, 5).graph
-    assert friedman_check(g, 4) == friedman_check(g, 4, summary=spectral_summary(g))
-
-
 def test_friedman_check_needs_positive_degree():
     with pytest.raises(ValueError, match=re.escape("friedman_check needs d >= 1 (got d=0)")):
-        friedman_check(Graph(10, []), 0)
+        _friedman(Graph(10, []), 0)
 
 
 def test_friedman_check_rejects_irregular():
     with pytest.raises(ValueError, match="regular"):
-        friedman_check(Graph(3, [(0, 1)]), 2)
+        _friedman(Graph(3, [(0, 1)]), 2)
