@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .graph import Graph, GraphError, cut_size
-from .partitions import witness_floor
+from .partitions import witness_floor, witness_set_size
 from .spectral import SpectralSummary
 
 __all__ = [
@@ -72,11 +72,19 @@ def threshold_c0(k: int) -> int:
 
 
 def set_size_t(n: int, k: int) -> tuple[int, bool]:
-    """Witness-set size ceil(n / (6*3^(k-2))), in integers, and a flag that is
-    False when n is too small for the raw (real-valued) size to reach 1.  No
-    code in the package reads the flag; the pair is kept for callers that
+    """Witness-set size `witness_set_size(n, k)` and a flag that is False when
+    n is too small for the raw (real-valued) size n / (6*3^(k-2)) to reach 1.
+    No code in the package reads the flag; the pair is kept for callers that
     unpack it, such as perfbench's workloads."""
-    return max(1, -(-n // witness_floor(k))), n >= witness_floor(k)
+    return witness_set_size(n, k), n >= witness_floor(k)
+
+
+def _fraction(n: int, k: int) -> float:
+    """The set-size fraction the chain uses: t/n for the integer set size t, which
+    only rounds alpha up, or alpha itself in the tiny-n corner t = n, where the
+    certificate is vacuous."""
+    t = witness_set_size(n, k)
+    return t / n if t < n else alpha_of(k)
 
 
 @dataclass(frozen=True)
@@ -98,12 +106,14 @@ class Certificate:
 
     def transcript(self) -> str:
         """Human-readable derivation of the bound."""
-        t = set_size_t(self.n, self.k)[0]
+        t = witness_set_size(self.n, self.k)
+        used = (f", rounded up to alpha' = {_fraction(self.n, self.k):.6g}" if t < self.n
+                else " = n, so the chain keeps alpha' = alpha")
         lines = [
             f"graph: n={self.n}, {self.d}-regular; classes k={self.k}",
             f"second-eigenvalue safe bound: mu_safe = {self.mu_safe:.6g}",
             f"witness fraction alpha = 1/(6*3^(k-2)) = {self.alpha:.6g} "
-            f"(integer set size t = {t}, rounded up to alpha' = {t / self.n:.6g})",
+            f"(integer set size t = {t}{used})",
             f"mixing bound: every disjoint pair of size-t sets spans "
             f"e(X,Y) >= D = {self.density_lb:.6g} edges (supersets only gain edges, "
             f"so this covers all pairs of size >= t)",
@@ -123,13 +133,9 @@ class Certificate:
 
 
 def _chain(n: int, d: int, k: int, mu_safe: float) -> Certificate:
-    alpha = alpha_of(k)
-    t = set_size_t(n, k)[0]
-    # Round the set size up to an integer: witness sets have size >= ceil(t),
-    # and the mixing bound at the larger exact fraction is still valid.
-    alpha_int = t / n
-    if alpha_int >= 1.0:
-        alpha_int = alpha  # degenerate tiny-n corner; certificate will be vacuous
+    # Round the set size up to an integer: witness sets have size >= t, and
+    # the mixing bound at the larger exact fraction is still valid.
+    alpha_int = _fraction(n, k)
     density = mixing_density_lb(n, d, mu_safe, alpha_int, alpha_int)
     width = density / k
     sum_sq = n * d * d
@@ -142,7 +148,7 @@ def _chain(n: int, d: int, k: int, mu_safe: float) -> Certificate:
         d=d,
         k=k,
         mu_safe=mu_safe,
-        alpha=alpha,
+        alpha=alpha_of(k),
         density_lb=density,
         width_lb=width,
         degree_term=degree_term,

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -98,7 +98,7 @@ class TrialRecord:
     wall_time_s: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # The canonical columns, in field order; wall time is opt-in (see write_records).
@@ -140,7 +140,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, tr
             chain = seeded_witness(g, cfg.k, seed)
             rec.e_ab = chain.e_ab
             rec.width_sum = chain.width_sum
-            # The witness sets hold >= set_size_t vertices each, so the mixing
+            # The witness sets hold >= witness_set_size vertices each, so the mixing
             # bound on every such pair cannot exceed their edge count.
             if rec.density_lb is not None and rec.density_lb > chain.e_ab:
                 raise AssertionError(f"mixing bound {rec.density_lb!r} exceeds the witness's "

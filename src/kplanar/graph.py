@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphError",
-    "Bipartition",
     "EdgePartition",
     "cut_size",
     "induced_subgraph",
@@ -178,37 +177,6 @@ def induced_subgraph(g: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
     pos[back] = np.arange(len(back))
     e = pos[g.edges]
     return Graph(len(back), e[(e[:, 0] >= 0) & (e[:, 1] >= 0)]), back
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Two disjoint blocks covering a ground set (not necessarily 0..n-1:
-    restrictions keep original vertex ids)."""
-
-    block1: tuple[int, ...]
-    block2: tuple[int, ...]
-
-    def __post_init__(self):
-        b1 = tuple(sorted(set(self.block1)))
-        b2 = tuple(sorted(set(self.block2)))
-        if set(b1) & set(b2):
-            raise GraphError("bipartition blocks overlap")
-        object.__setattr__(self, "block1", b1)
-        object.__setattr__(self, "block2", b2)
-
-    @property
-    def ground(self) -> tuple[int, ...]:
-        return tuple(sorted(self.block1 + self.block2))
-
-    @property
-    def size(self) -> int:
-        return len(self.block1) + len(self.block2)
-
-    @property
-    def balanced(self) -> bool:
-        """Each block holds at least a third of the ground set."""
-        m = self.size
-        return 3 * min(len(self.block1), len(self.block2)) >= m
 
 
 @dataclass(frozen=True, eq=False)

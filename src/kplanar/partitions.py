@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import (Bipartition, EdgePartition, Graph, GraphError, _neighbours, cut_size,
+from .graph import (EdgePartition, Graph, GraphError, _frozen, _neighbours, cut_size,
                     induced_subgraph)
 
 __all__ = [
@@ -26,59 +26,72 @@ __all__ = [
     "local_search_bisection",
     "witness_chain",
     "witness_floor",
+    "witness_set_size",
 ]
 
 EXACT_CAP = 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BisectionResult:
-    partition: Bipartition
+    """A bisection of a graph's vertices 0..n-1: `side[v]` is True when v lies in
+    block2, and `side` is a read-only bool array."""
+
+    side: np.ndarray
     cut: int
     exact: bool
 
+    def __post_init__(self):
+        object.__setattr__(self, "side", _frozen(np.array(self.side, dtype=bool)))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, BisectionResult) and np.array_equal(self.side, other.side)
+                and (self.cut, self.exact) == (other.cut, other.exact))
+
     def to_dict(self) -> dict:
         return {
-            "block1": list(self.partition.block1),
-            "block2": list(self.partition.block2),
+            "block1": np.flatnonzero(~self.side).tolist(),
+            "block2": np.flatnonzero(self.side).tolist(),
             "cut": self.cut,
             "exact": self.exact,
         }
 
 
-def lemma1_split(bip1: Bipartition, bip2: Bipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two subsets of size >= ceil(m/6) lying on different sides of both
-    bipartitions.
+def _min_side(n: int) -> int:
+    """The balance rule: each block of a bisection of n vertices holds at least ceil(n/3)."""
+    return math.ceil(n / 3)
+
+
+def _balanced(side: np.ndarray) -> bool:
+    lo = _min_side(len(side))
+    return lo <= np.count_nonzero(side) <= len(side) - lo
+
+
+def lemma1_split(side1: np.ndarray, side2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two position sets of size >= ceil(m/6) lying on different sides of both
+    bisections of one m-element ground set, given as bool side arrays (True is
+    block2).
 
     Of the two diagonal cell pairs of the 2x2 intersection table, at least
-    one has both cells of size >= m/6; that pair is returned, preferring
-    the (block1 & block1, block2 & block2) diagonal on ties.
+    one has both cells of size >= m/6; that pair is returned as ascending
+    position arrays, preferring the (block1 & block1, block2 & block2)
+    diagonal on ties.  The first array always lies in side1's block1.
     """
-    if bip1.ground != bip2.ground:
-        raise GraphError("bipartitions cover different ground sets")
-    m = bip1.size
-    if not bip1.balanced or not bip2.balanced:
-        raise GraphError("both bipartitions must have blocks of size >= m/3")
-    b11, b12 = set(bip1.block1), set(bip1.block2)
-    b21, b22 = set(bip2.block1), set(bip2.block2)
-    cell_a = b11 & b21
-    cell_d = b12 & b22
+    m = len(side1)
+    if len(side2) != m:
+        raise GraphError("bisections cover different ground sets")
+    if not _balanced(side1) or not _balanced(side2):
+        raise GraphError("both bisections must have blocks of size >= m/3")
     thresh = math.ceil(m / 6)
-    if len(cell_a) >= thresh and len(cell_d) >= thresh:
-        pick1, pick2 = cell_a, cell_d
-    else:
-        pick1, pick2 = b11 & b22, b12 & b21
-    y1 = tuple(sorted(pick1))
-    y2 = tuple(sorted(pick2))
+    same = side1 == side2
+    y1, y2 = np.flatnonzero(same & ~side1), np.flatnonzero(same & side1)
+    if len(y1) < thresh or len(y2) < thresh:
+        y1, y2 = np.flatnonzero(~same & ~side1), np.flatnonzero(~same & side1)
     if len(y1) < thresh or len(y2) < thresh:
         raise AssertionError(
             f"pigeonhole split failed: cells of sizes {len(y1)}, {len(y2)} < {thresh}"
         )
     return y1, y2
-
-
-def _min_side(n: int) -> int:
-    return math.ceil(n / 3)
 
 
 def exact_bisection(g: Graph) -> BisectionResult:
@@ -119,10 +132,9 @@ def exact_bisection(g: Graph) -> BisectionResult:
     best = best[best_sizes == best_sizes.min()]
     # Of two blocks of one size, the earlier in combination order holds their
     # lowest differing vertex, which has the higher bit, so its mask is larger.
-    best_mask = int(best.max())
-    block1 = tuple(v for v in range(n) if best_mask >> (n - 1 - v) & 1)
-    block2 = tuple(v for v in range(n) if not best_mask >> (n - 1 - v) & 1)
-    return BisectionResult(Bipartition(block1, block2), width, True)
+    best_mask = best.max()
+    in_block = (best_mask >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & one
+    return BisectionResult(in_block == 0, width, True)
 
 
 def _cut_and_gains(g: Graph, side: np.ndarray) -> tuple[int, list[int]]:
@@ -221,27 +233,25 @@ def local_search_bisection(g: Graph, seed: int, restarts: int = 8) -> BisectionR
         if best is None or cut < best[0]:
             best = (cut, side)
     cut, side = best
-    block1 = tuple(v for v in range(n) if not side[v])
-    block2 = tuple(v for v in range(n) if side[v])
-    return BisectionResult(Bipartition(block1, block2), cut, False)
+    return BisectionResult(side, cut, False)
 
 
 BisectOracle = Callable[[Graph], BisectionResult]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessLevel:
     """One bisected class subgraph in the recursion."""
 
     class_index: int
-    ground: tuple[int, ...]  # original vertex ids the class graph lives on
-    partition: Bipartition  # bisection in original ids
+    ground: np.ndarray  # the ascending original vertex ids the class graph lives on
+    side: np.ndarray  # its bisection: side[i] is True when ground[i] lies in block2
     width: int
     pretrim_sizes: tuple[int, int] | None = None
     posttrim_sizes: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessChain:
     levels: tuple[WitnessLevel, ...]
     y_sets: tuple[tuple[int, ...], ...]  # Y_2 \supseteq Y_3 \supseteq ... \supseteq Y_k
@@ -259,8 +269,8 @@ class WitnessChain:
                 {
                     "class": lv.class_index,
                     "ground_size": len(lv.ground),
-                    "block1": list(lv.partition.block1),
-                    "block2": list(lv.partition.block2),
+                    "block1": lv.ground[~lv.side].tolist(),
+                    "block2": lv.ground[lv.side].tolist(),
                     "width": lv.width,
                     "pretrim_sizes": lv.pretrim_sizes and list(lv.pretrim_sizes),
                     "posttrim_sizes": lv.posttrim_sizes and list(lv.posttrim_sizes),
@@ -275,28 +285,31 @@ class WitnessChain:
         }
 
 
-def _trim_equal(y1: tuple[int, ...], y2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _trim_equal(y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Drop lowest-id elements from the larger set: deterministic equal sizing.
     t = min(len(y1), len(y2))
     return y1[len(y1) - t:], y2[len(y2) - t:]
 
 
-def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: tuple[int, ...],
-                  bisect: BisectOracle) -> tuple[Bipartition, int]:
-    """Bisect the class-`cls` subgraph restricted to `ground`, a sorted
-    vertex tuple (so subgraph vertex i is ground[i]); returns the partition
-    in original ids and its width."""
+def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: np.ndarray,
+                  bisect: BisectOracle) -> tuple[np.ndarray, int]:
+    """Bisect the class-`cls` subgraph restricted to `ground`, an ascending
+    vertex array (so subgraph vertex i is ground[i]); returns the oracle's
+    side array over the positions of `ground`, and its width."""
     sub = ep.class_subgraph(g, cls)
     if len(ground) < g.n:  # else ground is all of V and sub is its own restriction
         sub = induced_subgraph(sub, ground)[0]
     res = bisect(sub)
-    if not res.partition.balanced:
+    if len(res.side) != sub.n:
+        raise GraphError(f"bisection oracle returned {len(res.side)} sides for the "
+                         f"{sub.n} vertices of class {cls}")
+    if not _balanced(res.side):
         raise GraphError(f"bisection oracle violated balance on class {cls}")
-    bip = Bipartition(
-        tuple(ground[i] for i in res.partition.block1),
-        tuple(ground[i] for i in res.partition.block2),
-    )
-    return bip, res.cut
+    cut = np.count_nonzero(res.side[sub.edges[:, 0]] != res.side[sub.edges[:, 1]])
+    if res.cut != cut:
+        raise GraphError(f"bisection oracle reported cut {res.cut} on class {cls}, "
+                         f"but its sides cut {cut} edges")
+    return res.side, res.cut
 
 
 def witness_floor(k: int) -> int:
@@ -306,43 +319,52 @@ def witness_floor(k: int) -> int:
     return 6 * 3 ** (k - 2)
 
 
+def witness_set_size(n: int, k: int) -> int:
+    """ceil(n / witness_floor(k)), and at least 1: the size that each set of a
+    k-class witness chain on n vertices reaches, and the certificate's set size t."""
+    return max(1, -(-n // witness_floor(k)))
+
+
 def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessChain:
     """Recursive extraction of a set pair separated by every level's bisection.
 
     Bisect the class-0 subgraph on all of V; it is the first carried
-    partition, and Y_1 = V.  Then for each further class i, bisect its
-    subgraph restricted to Y_i, split against the carried partition, and
+    bisection, and Y_1 = V.  Then for each further class i, bisect its
+    subgraph restricted to Y_i, split against the carried bisection, and
     trim to equal halves (A_{i+1}, B_{i+1}), which are carried on with
     Y_{i+1} = A_{i+1} + B_{i+1}.  Every original edge between the final A
     and B crosses the bisection at its own class's level, so
     e(A, B) <= sum of widths for any valid oracle.  Each split keeps at least
     a sixth of its ground set on each side, and both sides are the next
-    ground set, so |A| = |B| >= ceil(n / witness_floor(k)).  Both
-    inequalities are checked.
+    ground set, so |A| = |B| >= witness_set_size(n, k).  Both inequalities
+    are checked.
     """
     k = ep.k
     if g.n < witness_floor(k):
         raise GraphError(f"need n >= 6*3^(k-2) = {witness_floor(k)}, got n={g.n}")
 
-    ground = tuple(range(g.n))
+    ground = _frozen(np.arange(g.n))
     carried, w = _bisect_class(g, ep, 0, ground, bisect)
     levels = [WitnessLevel(0, ground, carried, w)]
     y_sets: list[tuple[int, ...]] = []
     for cls in range(1, k):
-        bip, w = _bisect_class(g, ep, cls, ground, bisect)
-        y1, y2 = lemma1_split(carried, bip)
+        side, w = _bisect_class(g, ep, cls, ground, bisect)
+        y1, y2 = lemma1_split(carried, side)
         a, b = _trim_equal(y1, y2)
-        levels.append(WitnessLevel(cls, ground, bip, w, (len(y1), len(y2)), (len(a), len(b))))
-        carried = Bipartition(a, b)
-        ground = carried.ground
-        y_sets.append(ground)
+        levels.append(WitnessLevel(cls, ground, side, w, (len(y1), len(y2)), (len(a), len(b))))
+        A, B = ground[a].tolist(), ground[b].tolist()
+        # a lies in the carried block1 and b in its block2, so restricting the carried
+        # side to A + B gives the bisection (A, B) of the next ground set.
+        keep = np.union1d(a, b)
+        ground, carried = _frozen(ground[keep]), carried[keep]
+        y_sets.append(tuple(ground.tolist()))
 
-    size = -(-g.n // witness_floor(k))
-    if not len(a) == len(b) >= size:
-        raise AssertionError(f"witness sets of sizes {len(a)}, {len(b)}; need equal sizes "
+    size = witness_set_size(g.n, k)
+    if not len(A) == len(B) >= size:
+        raise AssertionError(f"witness sets of sizes {len(A)}, {len(B)}; need equal sizes "
                              f">= ceil(n/{witness_floor(k)}) = {size}")
-    e_ab = cut_size(g, a, b)
-    chain = WitnessChain(tuple(levels), tuple(y_sets), a, b, e_ab)
+    e_ab = cut_size(g, A, B)
+    chain = WitnessChain(tuple(levels), tuple(y_sets), tuple(A), tuple(B), e_ab)
     if e_ab > chain.width_sum:
         raise AssertionError(
             f"witness-chain inequality violated: e(A,B)={e_ab} > {chain.width_sum}"

@@ -18,7 +18,7 @@ from kplanar.certify import (brute_min_pair_density, min_positive_n,
 from kplanar.certify import _chain
 from kplanar.experiment import (ExperimentConfig, fit_scaling, run_experiment,
                                 summarize_frequencies)
-from kplanar.graph import Bipartition, cut_size, random_edge_partition
+from kplanar.graph import cut_size, random_edge_partition
 from kplanar.models import RegularModel, sample_gnp, sample_regular
 from kplanar.partitions import (exact_bisection, lemma1_split,
                                 local_search_bisection, witness_chain)
@@ -101,10 +101,13 @@ def _balanced_masks(m):
     return np.array(masks, dtype=np.uint64)
 
 
-def _bip_of_mask(m, mask):
-    block = tuple(v for v in range(m) if mask >> v & 1)
-    rest = tuple(v for v in range(m) if not mask >> v & 1)
-    return Bipartition(block, rest)
+def _side_of_mask(m, mask):
+    """The side array of the bisection of 0..m-1 whose block1 is mask's set bits."""
+    return ((np.uint64(mask) >> np.arange(m, dtype=np.uint64)) & np.uint64(1)) == 0
+
+
+def _block_sets(side):
+    return set(np.flatnonzero(~side).tolist()), set(np.flatnonzero(side).tolist())
 
 
 def test_criterion_03_lemma1_exhaustive():
@@ -117,16 +120,15 @@ def test_criterion_03_lemma1_exhaustive():
     """
     for m in range(6, 11):
         thresh = math.ceil(m / 6)
-        masks = _balanced_masks(m)
-        bips = [_bip_of_mask(m, int(mask)) for mask in masks]
-        for b1 in bips:
-            s11, s12 = set(b1.block1), set(b1.block2)
-            for b2 in bips:
-                y1, y2 = lemma1_split(b1, b2)
+        sides = [_side_of_mask(m, mask) for mask in _balanced_masks(m)]
+        cells = [_block_sets(side) for side in sides]
+        for side1, (s11, s12) in zip(sides, cells):
+            for side2, (s21, s22) in zip(sides, cells):
+                y1, y2 = lemma1_split(side1, side2)
                 assert len(y1) >= thresh and len(y2) >= thresh
-                s21, s22 = set(b2.block1), set(b2.block2)
-                assert (set(y1) <= s11 & s21 and set(y2) <= s12 & s22) or (
-                    set(y1) <= s11 & s22 and set(y2) <= s12 & s21
+                y1, y2 = set(y1.tolist()), set(y2.tolist())
+                assert (y1 <= s11 & s21 and y2 <= s12 & s22) or (
+                    y1 <= s11 & s22 and y2 <= s12 & s21
                 )
     for m in (11, 12):
         thresh = m // 6 + (m % 6 > 0)
@@ -143,12 +145,12 @@ def test_criterion_03_lemma1_exhaustive():
             chosen_min = np.where(pick_ad, np.minimum(a, d), np.minimum(b, c))
             assert int(chosen_min.min()) >= thresh, f"m={m}: pigeonhole failed"
         for _ in range(10_000):
-            b1 = _bip_of_mask(m, int(masks[rnd.randrange(len(masks))]))
-            b2 = _bip_of_mask(m, int(masks[rnd.randrange(len(masks))]))
-            y1, y2 = lemma1_split(b1, b2)
-            s11, s21 = set(b1.block1), set(b2.block1)
-            expect_ad = len(s11 & s21) >= thresh and len(set(b1.block2) & set(b2.block2)) >= thresh
-            assert set(y1) == (s11 & s21 if expect_ad else s11 & set(b2.block2))
+            side1 = _side_of_mask(m, masks[rnd.randrange(len(masks))])
+            side2 = _side_of_mask(m, masks[rnd.randrange(len(masks))])
+            y1, y2 = lemma1_split(side1, side2)
+            (s11, s12), (s21, s22) = _block_sets(side1), _block_sets(side2)
+            expect_ad = len(s11 & s21) >= thresh and len(s12 & s22) >= thresh
+            assert set(y1.tolist()) == (s11 & s21 if expect_ad else s11 & s22)
             assert len(y1) >= thresh and len(y2) >= thresh
     print("\nACCEPTANCE 3 PASS: all balanced pairs for m=6..12 split correctly")
 

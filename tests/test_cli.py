@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -382,6 +383,17 @@ def test_certify_regular(tmp_path, capsys):
     assert "degenerate" in stdout and "cr_2(G)" in stdout
 
 
+@pytest.mark.parametrize("n, fraction", [(1, "t = 1 = n, so the chain keeps alpha' = alpha"),
+                                         (12, "t = 2, rounded up to alpha' = 0.166667"),
+                                         (13, "t = 3, rounded up to alpha' = 0.230769")])
+def test_certify_states_the_fraction_the_chain_uses(tmp_path, capsys, n, fraction):
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"{n} 0\n")
+    code, stdout, _ = run_cli(capsys, "certify", "--in", str(path), "--k", "2")
+    assert code == 0
+    assert f"(integer set size {fraction})" in stdout
+
+
 def test_certify_refuses_an_irregular_graph(tmp_path, capsys):
     g = random_graph(10, 0.4, 7)
     path = str(tmp_path / "irr.txt")
@@ -399,6 +411,18 @@ def test_certify_refuses_a_graph_too_small_for_two_sets(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "certify", "--in", str(path), "--k", "2")
     assert (code, stdout) == (1, "")
     assert err == "error: graph is not regular (degrees []); cannot certify\n"
+
+
+def test_gnp_witness_sweep_csv_is_pinned(tmp_path, capsys):
+    # Gnp rows carry no BLAS-dependent float, so the digest holds on any machine.
+    # Recorded before bisections became side arrays.
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "experiment", "--model", "gnp", "--n-list", "60", "200",
+                         "--p-list", "0.1", "--k", "3", "--trials", "3", "--seed", "7",
+                         "--witness", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "053b723c8630e4e4c022cc9f903c24fd5ff7eae15392894f64af790932496c90")
 
 
 def test_experiment_and_fit(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kplanar.graph import (Bipartition, EdgePartition, Graph, GraphError, _neighbours, cut_size,
+from kplanar.graph import (EdgePartition, Graph, GraphError, _neighbours, cut_size,
                            induced_subgraph, random_edge_partition, read_edge_list,
                            write_edge_list)
 from kplanar.models import _multigraph_keys, _simplify
@@ -285,17 +285,6 @@ def test_induced_preserves_adjacency_exhaustive():
             for i in range(sub.n):
                 for j in range(i + 1, sub.n):
                     assert ((i, j) in kept) == ((back[i], back[j]) in host)
-
-
-def test_bipartition_balance():
-    b = Bipartition((0, 1, 2), (3, 4, 5, 6, 7, 8))
-    assert b.balanced
-    assert not Bipartition((0, 1), (2, 3, 4, 5, 6, 7, 8)).balanced
-
-
-def test_bipartition_rejects_overlap():
-    with pytest.raises(GraphError):
-        Bipartition((0, 1), (1, 2))
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import math
 import random
 import re
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -10,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kplanar.partitions
-from kplanar.graph import (Bipartition, Graph, GraphError, _neighbours,
-                           cut_size, random_edge_partition)
-from kplanar.models import RegularModel, sample_gnp, sample_regular
-from kplanar.partitions import (_cut_and_gains, _improving_swap, exact_bisection, lemma1_split,
-                                local_search_bisection, witness_chain, witness_floor)
+from kplanar.graph import Graph, GraphError, _neighbours, cut_size, random_edge_partition
+from kplanar.models import RegularModel, sample, sample_gnp, sample_regular
+from kplanar.partitions import (BisectionResult, _cut_and_gains, _improving_swap, exact_bisection,
+                                lemma1_split, local_search_bisection, witness_chain, witness_floor)
 
 from conftest import complete_bipartite, complete_graph, cycle_graph, path_graph, random_graph
 
@@ -54,6 +55,42 @@ def first_improving_swap(g: Graph, side: list[bool], order: list[int]) -> tuple[
     return 0, list(side)
 
 
+def blocks(side: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(block1, block2) of a side array, as ascending vertex tuples."""
+    return tuple(np.flatnonzero(~side).tolist()), tuple(np.flatnonzero(side).tolist())
+
+
+def balanced(side: np.ndarray) -> bool:
+    """Each block holds at least a third of the vertices."""
+    return 3 * min(np.count_nonzero(side), np.count_nonzero(~side)) >= len(side)
+
+
+def set_lemma1_split(side1, side2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The set-algebra rule that `lemma1_split` replaced, on the blocks of two
+    balanced side arrays over one ground set: the (block1 & block1,
+    block2 & block2) diagonal when both its cells reach ceil(m/6), else the other."""
+    m = len(side1)
+    b11, b12 = (set(b) for b in blocks(np.asarray(side1)))
+    b21, b22 = (set(b) for b in blocks(np.asarray(side2)))
+    cell_a = b11 & b21
+    cell_d = b12 & b22
+    thresh = math.ceil(m / 6)
+    if len(cell_a) >= thresh and len(cell_d) >= thresh:
+        pick1, pick2 = cell_a, cell_d
+    else:
+        pick1, pick2 = b11 & b22, b12 & b21
+    return tuple(sorted(pick1)), tuple(sorted(pick2))
+
+
+@st.composite
+def balanced_sides(draw, m):
+    """A side array over m positions whose blocks both hold >= ceil(m/3)."""
+    lo = math.ceil(m / 3)
+    side = np.zeros(m, dtype=bool)
+    side[draw(st.permutations(range(m)))[:draw(st.integers(lo, m - lo))]] = True
+    return side
+
+
 @st.composite
 def small_graphs(draw, min_n=3, max_n=16):
     n = draw(st.integers(min_n, max_n))
@@ -63,25 +100,32 @@ def small_graphs(draw, min_n=3, max_n=16):
 
 class TestLemma1:
     def test_worked_example(self):
-        bip1 = Bipartition(tuple(range(1, 7)), tuple(range(7, 13)))
-        bip2 = Bipartition((4, 5, 6, 7, 8, 9), (1, 2, 3, 10, 11, 12))
-        y1, y2 = lemma1_split(bip1, bip2)
-        assert y1 == (4, 5, 6) and y2 == (10, 11, 12)
+        # Ground 1..12 at positions 0..11: blocks {1..6} | {7..12} and {4..9} | the rest.
+        pos = np.arange(12)
+        y1, y2 = lemma1_split(pos >= 6, (pos < 3) | (pos > 8))
+        assert y1.tolist() == [3, 4, 5] and y2.tolist() == [9, 10, 11]
 
     def test_identical_bipartitions(self):
-        bip = Bipartition((0, 1, 2), (3, 4, 5))
-        y1, y2 = lemma1_split(bip, bip)
-        assert y1 == (0, 1, 2) and y2 == (3, 4, 5)
+        side = np.array([False] * 3 + [True] * 3)
+        y1, y2 = lemma1_split(side, side)
+        assert y1.tolist() == [0, 1, 2] and y2.tolist() == [3, 4, 5]
 
     def test_rejects_unbalanced(self):
-        bip1 = Bipartition((0,), (1, 2, 3, 4, 5))
-        bip2 = Bipartition((0, 1, 2), (3, 4, 5))
+        side1 = np.array([False] + [True] * 5)
+        side2 = np.array([False] * 3 + [True] * 3)
         with pytest.raises(GraphError, match="m/3"):
-            lemma1_split(bip1, bip2)
+            lemma1_split(side1, side2)
 
     def test_rejects_mismatched_ground(self):
         with pytest.raises(GraphError, match="ground"):
-            lemma1_split(Bipartition((0, 1), (2, 3)), Bipartition((0, 1), (2, 4)))
+            lemma1_split(np.array([False, False, True, True]),
+                         np.array([False, False, True, True, True]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 40).flatmap(lambda m: st.tuples(balanced_sides(m), balanced_sides(m))))
+    def test_matches_the_set_rule(self, sides):
+        y1, y2 = lemma1_split(*sides)
+        assert (tuple(y1.tolist()), tuple(y2.tolist())) == set_lemma1_split(*sides)
 
     def test_exhaustive_m6(self):
         # all balanced bipartition pairs on 6 elements satisfy the postcondition
@@ -93,20 +137,22 @@ class TestLemma1:
     @staticmethod
     def _exhaust(m):
         lo = math.ceil(m / 3)
-        bips = []
+        sides = []
         for size in range(lo, m - lo + 1):
             for block in combinations(range(m), size):
-                rest = tuple(v for v in range(m) if v not in block)
-                bips.append(Bipartition(block, rest))
+                side = np.ones(m, dtype=bool)
+                side[list(block)] = False
+                sides.append(side)
         thresh = math.ceil(m / 6)
-        for b1 in bips:
-            s11, s12 = set(b1.block1), set(b1.block2)
-            for b2 in bips:
-                y1, y2 = lemma1_split(b1, b2)
+        for side1 in sides:
+            s11, s12 = map(set, blocks(side1))
+            for side2 in sides:
+                y1, y2 = lemma1_split(side1, side2)
                 assert len(y1) >= thresh and len(y2) >= thresh
-                s21, s22 = set(b2.block1), set(b2.block2)
-                same = set(y1) <= s11 & s21 and set(y2) <= s12 & s22
-                cross = set(y1) <= s11 & s22 and set(y2) <= s12 & s21
+                s21, s22 = map(set, blocks(side2))
+                y1, y2 = set(y1.tolist()), set(y2.tolist())
+                same = y1 <= s11 & s21 and y2 <= s12 & s22
+                cross = y1 <= s11 & s22 and y2 <= s12 & s21
                 assert same or cross
 
 
@@ -127,21 +173,30 @@ class TestExactBisection:
             g = random_graph(random.Random(seed).randint(4, 9), 0.5, seed)
             res = exact_bisection(g)
             assert res.cut == brute_bisection_width(g)
-            assert res.partition.balanced
-            assert cut_size(g, res.partition.block1, res.partition.block2) == res.cut
+            assert balanced(res.side)
+            assert cut_size(g, *blocks(res.side)) == res.cut
 
     def test_cap(self):
         g = random_graph(22, 3 / 21, 1)
         res = exact_bisection(g)
-        assert res.partition.balanced
-        assert res.cut == cut_size(g, res.partition.block1, res.partition.block2)
+        assert balanced(res.side)
+        assert res.cut == cut_size(g, *blocks(res.side))
         for n in (23, 25):
             with pytest.raises(GraphError, match="cap 22"):
                 exact_bisection(random_graph(n, 3 / (n - 1), 1))
 
     def test_edgeless_cap_takes_the_first_smallest_block(self):
         res = exact_bisection(Graph(22, []))
-        assert res.cut == 0 and res.partition.block1 == tuple(range(8))
+        assert res.cut == 0 and blocks(res.side)[0] == tuple(range(8))
+
+    def test_side_is_read_only(self):
+        res = exact_bisection(cycle_graph(6))
+        with pytest.raises(ValueError, match="read-only"):
+            res.side[0] = True
+        side = np.array([False, False, True, True])
+        res = BisectionResult(side, 2, False)
+        side[0] = True  # the result keeps its own copy
+        assert res.side.tolist() == [False, False, True, True] and not res.side.flags.writeable
 
     def test_corpus_partitions_are_pinned(self):
         # Recorded with `first_minimum_bisection`, the pure-Python enumeration
@@ -153,11 +208,11 @@ class TestExactBisection:
     def test_matches_first_minimum_in_combination_order(self, g):
         res = exact_bisection(g)
         cut, block1 = first_minimum_bisection(g)
-        b1, b2 = res.partition.block1, res.partition.block2
+        b1, b2 = blocks(res.side)
         assert (res.cut, b1) == (cut, block1)
         assert b2 == tuple(v for v in range(g.n) if v not in block1)
         assert res.cut == cut_size(g, b1, b2)
-        assert res.partition.balanced and res.exact
+        assert balanced(res.side) and res.exact
 
 
 def first_minimum_bisection(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -202,7 +257,7 @@ def exact_corpus_digest() -> str:
     h = hashlib.sha256()
     for g in exact_corpus():
         res = exact_bisection(g)
-        h.update(repr((res.cut, res.partition.block1, res.partition.block2)).encode())
+        h.update(repr((res.cut, *blocks(res.side))).encode())
     return h.hexdigest()
 
 
@@ -228,7 +283,7 @@ def local_search_corpus_digest() -> str:
     for i, g in enumerate(local_search_corpus()):
         for restarts in range(1, 6):
             res = local_search_bisection(g, seed=i, restarts=restarts)
-            h.update(repr((res.cut, res.partition.block1, res.partition.block2)).encode())
+            h.update(repr((res.cut, *blocks(res.side))).encode())
     return h.hexdigest()
 
 
@@ -255,9 +310,9 @@ class TestLocalSearch:
     @given(small_graphs(), st.integers(0, 2**32), st.integers(1, 4))
     def test_reported_cut_is_the_partitions_cut(self, g, seed, restarts):
         res = local_search_bisection(g, seed, restarts)
-        b1, b2 = res.partition.block1, res.partition.block2
+        b1, b2 = blocks(res.side)
         assert res.cut == cut_size(g, b1, b2)
-        assert res.partition.balanced and sorted(b1 + b2) == list(range(g.n))
+        assert balanced(res.side) and len(res.side) == g.n
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(), st.data())
@@ -281,9 +336,9 @@ class TestLocalSearch:
             g = sample_gnp(n, p, 1)
             assert g.num_edges > 50 * n
             res = local_search_bisection(g, seed=0, restarts=2)
-            b1, b2 = res.partition.block1, res.partition.block2
+            b1, b2 = blocks(res.side)
             assert res.cut == cut_size(g, b1, b2)
-            assert res.partition.balanced and sorted(b1 + b2) == list(range(n))
+            assert balanced(res.side) and len(res.side) == n
             h.update(repr((res.cut, b1, b2)).encode())
         assert h.hexdigest() == (
             "c1ee18d1242d2d31692dc0a6cedee2deec600436352d6fe021aec5bf78676aea")
@@ -314,9 +369,9 @@ class TestLocalSearch:
             g = random_graph(10, 0.4, seed)
             heur = local_search_bisection(g, seed=seed)
             assert not heur.exact
-            assert heur.partition.balanced
+            assert balanced(heur.side)
             assert heur.cut >= exact_bisection(g).cut
-            assert cut_size(g, heur.partition.block1, heur.partition.block2) == heur.cut
+            assert cut_size(g, *blocks(heur.side)) == heur.cut
 
     def test_k33(self):
         g = complete_bipartite(3, 3)
@@ -393,7 +448,7 @@ class TestWitnessChain:
         for i, (u, v) in enumerate(g.edges.tolist()):
             if (u in a and v in b) or (v in a and u in b):
                 lv = chain.levels[ep.classes[i]]
-                s1 = set(lv.partition.block1)
+                s1 = set(lv.ground[~lv.side].tolist())
                 assert (u in s1) != (v in s1)
 
     def test_to_dict_reports_trim_sizes(self):
@@ -402,7 +457,7 @@ class TestWitnessChain:
         chain = witness_chain(g, ep, lambda h: local_search_bisection(h, seed=9, restarts=2))
         levels = chain.to_dict()["levels"]
         assert levels[0]["pretrim_sizes"] is None and levels[0]["posttrim_sizes"] is None
-        y1, y2 = lemma1_split(chain.levels[0].partition, chain.levels[1].partition)
+        y1, y2 = lemma1_split(chain.levels[0].side, chain.levels[1].side)
         assert levels[1]["pretrim_sizes"] == [len(y1), len(y2)]
         for level, y in zip(levels[1:], chain.y_sets):
             t = min(level["pretrim_sizes"])
@@ -436,9 +491,57 @@ class TestWitnessChain:
         ep = random_edge_partition(g, 2, seed=2)
 
         def bad_oracle(h):
-            from kplanar.partitions import BisectionResult
-            blocks = Bipartition((0,), tuple(range(1, h.n)))
-            return BisectionResult(blocks, cut_size(h, blocks.block1, blocks.block2), False)
+            side = np.arange(h.n) > 0
+            return BisectionResult(side, cut_size(h, *blocks(side)), False)
 
         with pytest.raises(GraphError, match="balance"):
             witness_chain(g, ep, bad_oracle)
+
+    def test_rejects_an_oracle_side_of_the_wrong_length(self):
+        g = random_graph(12, 0.5, 2)
+        ep = random_edge_partition(g, 2, seed=2)
+
+        def bad_oracle(h):
+            res = local_search_bisection(h, seed=2)
+            return BisectionResult(np.append(res.side, False), res.cut, False)
+
+        with pytest.raises(GraphError, match="13 sides for the 12 vertices of class 0"):
+            witness_chain(g, ep, bad_oracle)
+
+    def test_rejects_an_oracle_that_misreports_its_cut(self):
+        # An under-reported cut once surfaced as a witness-chain inequality violation.
+        g = sample("gnp", 40, None, 0.3, 1).graph
+        ep = random_edge_partition(g, 2, 1)
+
+        def bad_oracle(h):
+            return BisectionResult(local_search_bisection(h, seed=1).side, 0, False)
+
+        with pytest.raises(GraphError, match="reported cut 0 on class 0, but its sides cut"):
+            witness_chain(g, ep, bad_oracle)
+
+    def test_corpus_chains_are_pinned(self):
+        # Recorded on the tuple-and-set chain that side arrays replaced.
+        h = hashlib.sha256()
+        for g, ep, oracle in witness_corpus():
+            h.update(json.dumps(witness_chain(g, ep, oracle).to_dict()).encode())
+        assert h.hexdigest() == (
+            "47e1982f9d0571e8e094ea2f43054d6d0bd8ebcb1b6be07eef9d7b2a5cf61f9f")
+
+
+def witness_corpus():
+    """(graph, edge partition, oracle) triples: k = 2 and 3 chains with the exact
+    oracle on 6..18 vertices, and k = 2, 3 and 4 chains with local search on up
+    to 60."""
+    for n in (6, 9, 12, 15, 18):
+        for seed in range(3):
+            g = random_graph(n, 0.45, 600 + 10 * n + seed)
+            yield g, random_edge_partition(g, 2, seed), exact_bisection
+    for seed in range(3):
+        g = random_graph(18, 0.5, 700 + seed)
+        yield g, random_edge_partition(g, 3, seed), exact_bisection
+    for k, sizes in ((2, (6, 20, 40, 60)), (3, (18, 35, 60)), (4, (54, 60))):
+        for n in sizes:
+            for p in (0.15, 0.4):
+                g = sample_gnp(n, p, 10 * n + k)
+                yield (g, random_edge_partition(g, k, n + k),
+                       partial(local_search_bisection, seed=n, restarts=2))

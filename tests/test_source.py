@@ -78,7 +78,6 @@ UNREFERENCED_EXPORTS = {
     "TrialRecord": "the row type that run_experiment returns",
     "write_records": "run_experiment's one record writer, for records a caller filters",
     "summarize_frequencies": "acceptance criterion 4 computes the Friedman rate with it",
-    "BisectionResult": "the type a bisection oracle returns, so custom oracles build it",
     "WitnessLevel": "the type of WitnessChain.levels",
     "lemma1_split": "the pigeonhole split; acceptance criterion 3 checks it exhaustively",
     "mu_bound": "spectral_summary's Lanczos path; tests check it against the dense solver",
