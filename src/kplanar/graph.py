@@ -168,15 +168,21 @@ def induced_subgraph(g: Graph, S: Iterable[int]) -> tuple[Graph, list[int]]:
     Returns (subgraph, back_map) where back_map[i] is the original id of
     the subgraph's vertex i.
     """
-    back = sorted(set(S))
-    if not back:
+    # Sorted and deduplicated in numpy, so an id array is never hashed scalar by scalar.
+    # Not np.unique: numpy 2.4 runs it on a hash table, 250 us against 18 here for
+    # 2,000 ascending ids.
+    ids = np.sort(_int_array(S if isinstance(S, np.ndarray) else [*S], "vertex ids"), axis=None)
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    back = ids[keep]
+    if not back.size:
         raise GraphError("empty vertex set")
     if back[0] < 0 or back[-1] >= g.n:
         raise GraphError("vertex id out of range")
     pos = np.full(g.n, -1, dtype=np.int64)
-    pos[back] = np.arange(len(back))
+    pos[back] = np.arange(back.size)
     e = pos[g.edges]
-    return Graph(len(back), e[(e[:, 0] >= 0) & (e[:, 1] >= 0)]), back
+    return Graph(back.size, e[(e[:, 0] >= 0) & (e[:, 1] >= 0)]), back.tolist()
 
 
 @dataclass(frozen=True, eq=False)

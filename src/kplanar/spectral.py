@@ -10,10 +10,12 @@ invalidates it.
 Lanczos asks for the k eigenvalues of largest magnitude.  On sparse graphs
 (average degree below POWER_BELOW_DEGREE) it iterates on A^4, whose top k
 eigenvalues are the fourth powers of the k largest |lambda|: the power
-spreads the bulk edge apart and ARPACK needs about a third of the steps,
+spreads the bulk edge apart and ARPACK needs 33-40% of the steps on A,
 whose Gram-Schmidt passes, not the products, dominate there.  A^4 cannot
 tell lambda from -lambda, so a Rayleigh-Ritz step with A on span(V, AV)
-recovers the signed pairs.  Denser graphs iterate on A itself.
+recovers the signed pairs.  ARPACK's stop on A^4 is the looser POWER_TOL:
+its residual is A^4's, and the gate is the recheck with A, at TOL, that
+follows on both operators.  Denser graphs iterate on A itself.
 
 The two routes do not guarantee the same thing.  The dense solve is
 backward-stable, so every eigenvalue, the extremal ones included, lies
@@ -61,19 +63,26 @@ MATVEC_BUDGET = 100_000  # products with A, whichever operator Lanczos runs on
 # friedman_check's slack over the Ramanujan bound 2 sqrt(d-1).
 FRIEDMAN_EPS = 0.2
 # mu_bound iterates on A^4 below this average degree 2m/n, on A from it up.
-# Seconds per call on A against A^4 (the faster of two calls, over the graphs
-# of seeds 1 and 2), d-regular permutation graphs, one BLAS thread, 2-vCPU
-# Xeon VM.  n = 5e4: 1.00-1.14 / 0.79-0.88 at d = 12, 1.08-1.51 / 0.90-1.16
-# at 16, 1.20-1.26 / 1.09-1.11 at 20, 1.16-1.23 / 1.05-1.22 at 24, 1.37-1.45
-# / 1.44-1.53 at 28.  n = 1e4: 0.10-0.16 / 0.06-0.08 at d = 6, 0.13-0.16 /
-# 0.13-0.15 at 24.  A^4 makes about twice the products in half the steps,
-# and each step's Gram-Schmidt pass over the basis costs several products
-# on sparse graphs; as the degree grows the products win, and the two meet
-# near 24.
+# Seconds per call on A against A^4, ARPACK stopping on A^4 at POWER_TOL (the
+# faster of two calls, over the graphs of seeds 1 and 2), d-regular permutation
+# graphs, one BLAS thread, 2-vCPU Xeon VM.  n = 5e4: 1.67-1.75 / 1.25-1.39 at
+# d = 20, 1.52-1.91 / 1.14-1.56 at 24, 1.83-1.93 / 1.63 at 28, 2.10-2.11 /
+# 1.81-1.93 at 32, 2.41-2.46 / 1.95-2.27 at 40, 2.76-3.42 / 2.69-2.98 at 48,
+# 2.58-3.08 / 2.78-3.05 at 64; stopping on A^4 at TOL took 1.57-1.61,
+# 1.42-1.74, 2.22-2.26 and 2.20-2.35 s at d = 20 to 32.  n = 1e4: 0.19-0.28 /
+# 0.08-0.09 at d = 6, 0.18-0.22 / 0.15-0.17 at 24.  A^4 makes about 1.5 times
+# the products in 33-40% of the steps, and each step's Gram-Schmidt pass over
+# the basis costs several products on sparse graphs; as the degree grows the
+# products win.  With the stop at TOL the two met near 24, at POWER_TOL near
+# 48-64; no benchmark workload samples average degree 24 or more, so the
+# cutover has not moved.
 POWER_BELOW_DEGREE = 24
 POWER_NCV = 20  # Lanczos basis width on A^4; A keeps max(4k, 40)
 # Lanczos residual gate, relative to max(1, max degree).
 TOL = 1e-8
+# ARPACK's stop on A^4, relative to theta = lambda^4: looser than TOL, since on A^4 only
+# the recheck with A gates (measured margin at the eigsh call in mu_bound).
+POWER_TOL = 1e-5
 
 
 class SpectralError(RuntimeError):
@@ -160,9 +169,10 @@ def mu_bound(g: Graph) -> SpectralSummary:
     A^4 (the k largest |lambda|), and a Rayleigh-Ritz step with A on the
     span of those vectors and their images under A splits each +-lambda
     pair that A^4 merges; above it ARPACK finds the k largest-magnitude
-    pairs of A.  Either way the Ritz pairs are re-checked explicitly with A:
-    the reported residual is max ||A v - lambda v|| over the pairs that
-    determine lambda_1 and mu, and the call fails outright if that exceeds
+    pairs of A.  ARPACK stops at POWER_TOL on A^4 and at TOL on A.  Either
+    way the Ritz pairs are re-checked explicitly with A: the reported
+    residual is max ||A v - lambda v|| over the pairs that determine
+    lambda_1 and mu, and the call fails outright if that exceeds
     TOL * max(1, max_degree).  That residual puts each Ritz value within it
     of *some* eigenvalue; it does not show that ARPACK found the extremal
     pair, which is assumed.  `matvecs` counts the products with A made by
@@ -178,9 +188,9 @@ def mu_bound(g: Graph) -> SpectralSummary:
     gate = TOL * max(1.0, g.max_degree)
     v0 = np.random.default_rng(0xA5F0).standard_normal(g.n)
     if 2 * g.num_edges < POWER_BELOW_DEGREE * g.n:
-        power, which, ncv = 4, "LA", min(g.n, POWER_NCV)
+        power, which, ncv, tol = 4, "LA", min(g.n, POWER_NCV), POWER_TOL
     else:
-        power, which, ncv = 1, "LM", min(g.n, max(4 * k, 40))
+        power, which, ncv, tol = 1, "LM", min(g.n, max(4 * k, 40)), TOL
     matvecs = 0
 
     def apply(x):
@@ -194,12 +204,16 @@ def mu_bound(g: Graph) -> SpectralSummary:
     # maxiter counts restarts of ncv - k steps, each of `power` products.
     maxiter = max(10, MATVEC_BUDGET // (power * ncv))
     # ARPACK stops once every Ritz pair has ||r|| <= tol * |theta|.  On A,
-    # |theta| <= rho(A) <= max degree, so tol = TOL already meets `gate`; on
-    # A^4 the stop is on A^4's residual, and only the recheck below gates.
-    # A tighter stop only adds matvecs.  `rng` seeds the restart vectors ARPACK asks
-    # for when the Krylov space closes early (a star); unseeded, they are OS entropy.
+    # |theta| <= rho(A) <= max degree, so tol = TOL already meets `gate`.  On A^4
+    # the stop is on A^4's residual and only the recheck below gates, so it stops at
+    # POWER_TOL.  Over 100 seeded graphs below the cutover (n 401-1e4; PERMUTATION,
+    # FULL_CYCLE, MATCHING, G(n, p)) the rechecked residual reached at most 7.5e-4 of
+    # `gate` (8.3e-5 at TOL, with 26% more products; 4.1e-2 at 1e-4), and mu moved by
+    # at most 6.2e-14.  A looser stop can only raise SpectralError below, never pass
+    # an unchecked mu.  `rng` seeds the restart vectors ARPACK asks for when the
+    # Krylov space closes early (a star); unseeded, they are OS entropy.
     try:
-        vals, vecs = spla.eigsh(op, k=k, which=which, tol=TOL, v0=v0, ncv=ncv, maxiter=maxiter,
+        vals, vecs = spla.eigsh(op, k=k, which=which, tol=tol, v0=v0, ncv=ncv, maxiter=maxiter,
                                 rng=np.random.default_rng(0xA5F0))
     except spla.ArpackNoConvergence as exc:
         raise SpectralError(f"Lanczos did not converge within budget: {exc}") from exc

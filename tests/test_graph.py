@@ -273,6 +273,28 @@ def test_induced_rejects_empty(k4):
         induced_subgraph(k4, [])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))))
+def test_induced_input_forms_agree_with_the_set_rule(case):
+    # The restriction used to normalise its input with sorted(set(S)); every container,
+    # and an int array in any order with repeats, must give that subgraph and back_map.
+    n, ids = case
+    g = random_graph(n, 0.3, n + len(ids))
+    back = sorted(set(ids))
+    pos = {v: i for i, v in enumerate(back)}
+    want = Graph(len(back), [(pos[u], pos[v]) for u, v in g.edges.tolist() if u in pos and v in pos])
+    arr = np.array(ids, dtype=np.int64)
+    for S in (set(ids), ids, tuple(ids), arr, np.sort(arr), np.array(back), arr.astype(np.int32)):
+        sub, got = induced_subgraph(g, S)
+        assert sub == want and got == back and all(type(v) is int for v in got)
+
+
+def test_induced_refuses_float_ids(k4):
+    with pytest.raises(GraphError, match="integers"):
+        induced_subgraph(k4, np.array([0.0, 1.0]))
+
+
 def test_induced_preserves_adjacency_exhaustive():
     # adjacency in the restriction matches the host for every subset, n <= 6
     g = random_graph(6, 0.5, 11)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 import kplanar.spectral
 from kplanar.graph import Graph
-from kplanar.models import RegularModel, sample_regular
+from kplanar.models import RegularModel, sample, sample_regular
 from kplanar.spectral import (FRIEDMAN_EPS, POWER_BELOW_DEGREE, TOL, SpectralError, _adjacency,
                               _connected, friedman_check, mu_bound, spectral_summary,
                               spectrum_full)
@@ -202,7 +202,7 @@ def test_adjacency_peak_per_edge(permutation_2e5):
     assert peak / g.num_edges <= 44
 
 
-LANCZOS_PINS = {401: "4.443172178112977", 2000: "4.453205333487971"}
+LANCZOS_PINS = {401: "4.443172178112981", 2000: "4.453205333487969"}
 
 
 def _pinned_mu_safe(n: int) -> tuple[str, str]:
@@ -301,6 +301,29 @@ def test_lanczos_agrees_with_dense_past_the_cutover(make):
     assert it.residual <= TOL * max(1, g.max_degree)
     assert abs(it.mu - dense.mu) <= it.residual + dense.residual
     assert it.mu_safe >= dense.mu - dense.residual
+
+
+def _sparse_corpus(count: int):
+    """Seeded graphs below average degree POWER_BELOW_DEGREE, n from 402 to 2000:
+    perm, matching, cycle and gnp in turn, degree (or n p) 4 to 22."""
+    rng = np.random.default_rng(30)
+    for i, n in enumerate(np.geomspace(402, 2000, count).astype(int).tolist()):
+        n += n % 2  # matching needs an even n
+        d = 2 * int(rng.integers(2, 12))  # perm and cycle need an even d
+        model = ("perm", "matching", "cycle", "gnp")[i % 4]
+        d_p = (None, d / n) if model == "gnp" else (d, None)
+        yield f"{model}-{n}-{d}", sample(model, n, *d_p, i).graph
+
+
+def test_power_stop_leaves_gate_margin():
+    # POWER_TOL stops ARPACK on A^4 well short of TOL; the recheck with A must still pass
+    # with a hundredfold margin, and mu must agree with the dense solve.
+    for name, g in _sparse_corpus(32):
+        assert 2 * g.num_edges < POWER_BELOW_DEGREE * g.n, name  # the A^4 path
+        it, dense = mu_bound(g), spectrum_full(g)
+        assert it.residual <= TOL * max(1, g.max_degree) / 100, name
+        assert abs(it.mu - dense.mu) <= it.residual + dense.residual, name
+        assert it.mu_safe >= dense.mu - dense.residual, name
 
 
 def test_mu_safe_is_upper_only():
