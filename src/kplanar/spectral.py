@@ -80,8 +80,7 @@ POWER_BELOW_DEGREE = 24
 POWER_NCV = 20  # Lanczos basis width on A^4; A keeps max(4k, 40)
 # Lanczos residual gate, relative to max(1, max degree).
 TOL = 1e-8
-# ARPACK's stop on A^4, relative to theta = lambda^4: looser than TOL, since on A^4 only
-# the recheck with A gates (measured margin at the eigsh call in mu_bound).
+# ARPACK's stop on A^4, relative to theta = lambda^4; its margin is at the eigsh call.
 POWER_TOL = 1e-5
 
 
