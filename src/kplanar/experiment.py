@@ -112,6 +112,8 @@ def seeded_witness(g: Graph, k: int, seed: int, restarts: int = WITNESS_RESTARTS
     every level by local search seeded with derive_seed(seed, 2)."""
     if ep is None:
         ep = random_edge_partition(g, k, derive_seed(seed, 1))
+    elif ep.k != k:
+        raise ValueError(f"edge partition has k={ep.k} classes, the witness asks for k={k}")
     return witness_chain(g, ep, lambda h: local_search_bisection(h, derive_seed(seed, 2), restarts))
 
 
@@ -129,7 +131,8 @@ def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, tr
             summary = spectral_summary(g)
             rec.mu_safe = summary.mu_safe
             if g.regular_degree() == d:
-                rec.friedman_ok = friedman_check(g, d, summary)
+                if d:  # at d = 0 the Friedman bound 2 sqrt(d-1) is undefined: left blank
+                    rec.friedman_ok = friedman_check(g, d, summary)
                 cert = certify_k_planar_lb(g, cfg.k, summary)
                 rec.density_lb = cert.density_lb
                 rec.width_lb = cert.width_lb

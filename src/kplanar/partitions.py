@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import (EdgePartition, Graph, GraphError, _frozen, _neighbours, cut_size,
-                    induced_subgraph)
+from .graph import EdgePartition, Graph, GraphError, _frozen, _neighbours, cut_size
 
 __all__ = [
     "BisectionResult",
@@ -247,23 +246,37 @@ class WitnessLevel:
     ground: np.ndarray  # the ascending original vertex ids the class graph lives on
     side: np.ndarray  # its bisection: side[i] is True when ground[i] lies in block2
     width: int
-    pretrim_sizes: tuple[int, int] | None = None
-    posttrim_sizes: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessChain:
+    """The levels in class order, the last ground set Y_k and e(A, B).  Level 0's side
+    covers all of V, so it is indexed by vertex id: A and B are Y_k's parts on its sides."""
+
     levels: tuple[WitnessLevel, ...]
-    y_sets: tuple[tuple[int, ...], ...]  # Y_2 \supseteq Y_3 \supseteq ... \supseteq Y_k
-    A: tuple[int, ...]
-    B: tuple[int, ...]
+    ground: np.ndarray  # Y_k, ascending
     e_ab: int
 
     @property
     def width_sum(self) -> int:
         return sum(lv.width for lv in self.levels)
 
+    @property
+    def A(self) -> tuple[int, ...]:
+        return tuple(self.ground[~self.levels[0].side[self.ground]].tolist())
+
+    @property
+    def B(self) -> tuple[int, ...]:
+        return tuple(self.ground[self.levels[0].side[self.ground]].tolist())
+
     def to_dict(self) -> dict:
+        # Level i >= 2 lives on Y_i.  Level i >= 1 splits its ground against level 0's
+        # side and trims the split's cells to the halves of Y_{i+1}.
+        side0 = self.levels[0].side
+        y_sets = [lv.ground.tolist() for lv in self.levels[2:]] + [self.ground.tolist()]
+        pretrim = [None] + [[len(y) for y in lemma1_split(side0[lv.ground], lv.side)]
+                            for lv in self.levels[1:]]
+        posttrim = [None] + [[len(y) // 2] * 2 for y in y_sets]
         return {
             "levels": [
                 {
@@ -272,12 +285,12 @@ class WitnessChain:
                     "block1": lv.ground[~lv.side].tolist(),
                     "block2": lv.ground[lv.side].tolist(),
                     "width": lv.width,
-                    "pretrim_sizes": lv.pretrim_sizes and list(lv.pretrim_sizes),
-                    "posttrim_sizes": lv.posttrim_sizes and list(lv.posttrim_sizes),
+                    "pretrim_sizes": pre,
+                    "posttrim_sizes": post,
                 }
-                for lv in self.levels
+                for lv, pre, post in zip(self.levels, pretrim, posttrim)
             ],
-            "y_sets": [list(y) for y in self.y_sets],
+            "y_sets": y_sets,
             "A": list(self.A),
             "B": list(self.B),
             "e_ab": self.e_ab,
@@ -296,9 +309,7 @@ def _bisect_class(g: Graph, ep: EdgePartition, cls: int, ground: np.ndarray,
     """Bisect the class-`cls` subgraph restricted to `ground`, an ascending
     vertex array (so subgraph vertex i is ground[i]); returns the oracle's
     side array over the positions of `ground`, and its width."""
-    sub = ep.class_subgraph(g, cls)
-    if len(ground) < g.n:  # else ground is all of V and sub is its own restriction
-        sub = induced_subgraph(sub, ground)[0]
+    sub = ep.class_subgraph(g, cls, ground)
     res = bisect(sub)
     if len(res.side) != sub.n:
         raise GraphError(f"bisection oracle returned {len(res.side)} sides for the "
@@ -328,12 +339,11 @@ def witness_set_size(n: int, k: int) -> int:
 def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessChain:
     """Recursive extraction of a set pair separated by every level's bisection.
 
-    Bisect the class-0 subgraph on all of V; it is the first carried
-    bisection, and Y_1 = V.  Then for each further class i, bisect its
-    subgraph restricted to Y_i, split against the carried bisection, and
-    trim to equal halves (A_{i+1}, B_{i+1}), which are carried on with
-    Y_{i+1} = A_{i+1} + B_{i+1}.  Every original edge between the final A
-    and B crosses the bisection at its own class's level, so
+    Bisect the class-0 subgraph on all of V = Y_1.  Then for each further
+    class i, bisect its subgraph restricted to Y_i, split that against level
+    0's bisection restricted to Y_i, and trim to equal halves (A_{i+1},
+    B_{i+1}), with Y_{i+1} = A_{i+1} + B_{i+1}.  Every original edge between
+    the final A and B crosses the bisection at its own class's level, so
     e(A, B) <= sum of widths for any valid oracle.  Each split keeps at least
     a sixth of its ground set on each side, and both sides are the next
     ground set, so |A| = |B| >= witness_set_size(n, k).  Both inequalities
@@ -344,29 +354,24 @@ def witness_chain(g: Graph, ep: EdgePartition, bisect: BisectOracle) -> WitnessC
         raise GraphError(f"need n >= 6*3^(k-2) = {witness_floor(k)}, got n={g.n}")
 
     ground = _frozen(np.arange(g.n))
-    carried, w = _bisect_class(g, ep, 0, ground, bisect)
-    levels = [WitnessLevel(0, ground, carried, w)]
-    y_sets: list[tuple[int, ...]] = []
+    side0, w = _bisect_class(g, ep, 0, ground, bisect)
+    levels = [WitnessLevel(0, ground, side0, w)]
     for cls in range(1, k):
         side, w = _bisect_class(g, ep, cls, ground, bisect)
-        y1, y2 = lemma1_split(carried, side)
-        a, b = _trim_equal(y1, y2)
-        levels.append(WitnessLevel(cls, ground, side, w, (len(y1), len(y2)), (len(a), len(b))))
-        A, B = ground[a].tolist(), ground[b].tolist()
-        # a lies in the carried block1 and b in its block2, so restricting the carried
-        # side to A + B gives the bisection (A, B) of the next ground set.
-        keep = np.union1d(a, b)
-        ground, carried = _frozen(ground[keep]), carried[keep]
-        y_sets.append(tuple(ground.tolist()))
+        a, b = _trim_equal(*lemma1_split(side0[ground], side))
+        levels.append(WitnessLevel(cls, ground, side, w))
+        ground = _frozen(ground[np.union1d(a, b)])
 
+    # The last ground is a + b, with a in level 0's block1 and b in its block2.
+    in2 = side0[ground]
+    A, B = ground[~in2].tolist(), ground[in2].tolist()
     size = witness_set_size(g.n, k)
     if not len(A) == len(B) >= size:
         raise AssertionError(f"witness sets of sizes {len(A)}, {len(B)}; need equal sizes "
                              f">= ceil(n/{witness_floor(k)}) = {size}")
-    e_ab = cut_size(g, A, B)
-    chain = WitnessChain(tuple(levels), tuple(y_sets), tuple(A), tuple(B), e_ab)
-    if e_ab > chain.width_sum:
+    chain = WitnessChain(tuple(levels), ground, cut_size(g, A, B))
+    if chain.e_ab > chain.width_sum:
         raise AssertionError(
-            f"witness-chain inequality violated: e(A,B)={e_ab} > {chain.width_sum}"
+            f"witness-chain inequality violated: e(A,B)={chain.e_ab} > {chain.width_sum}"
         )
     return chain

@@ -14,7 +14,7 @@ import kplanar.experiment
 from kplanar.cli import build_parser, main
 from kplanar.experiment import WITNESS_RESTARTS, _fmt_value
 from kplanar.graph import write_edge_list
-from kplanar.models import RegularModel, sample_regular
+from kplanar.models import RegularModel, sample_gnp, sample_regular
 
 from conftest import (complete_graph, cycle_graph, petersen_graph, random_graph,
                       readme_commands)
@@ -423,6 +423,30 @@ def test_gnp_witness_sweep_csv_is_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "053b723c8630e4e4c022cc9f903c24fd5ff7eae15392894f64af790932496c90")
+
+
+@pytest.mark.parametrize("k,digest", [
+    (2, "3ad9ef7beefe1424e64e1a7e20d941298f88937a1408db24545d81ffe0ef06a7"),
+    (3, "1707998d265757d4524137f344a2ddafb0606670a621dbab4cb54b1248fe3590"),
+])
+def test_witness_json_is_pinned(tmp_path, capsys, k, digest):
+    # Integer-only output, recorded while each level still built its class graph twice
+    # and the chain stored its sets as tuples.
+    path = str(tmp_path / "g.txt")
+    write_edge_list(path, sample_gnp(60, 0.2, 1))
+    code, stdout, _ = run_cli(capsys, "witness", "--in", path, "--k", str(k), "--seed", "7")
+    assert code == 0 and len(json.loads(stdout)["levels"]) == k
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+def test_degree_zero_sweep_exits_0(tmp_path, capsys):
+    # The edgeless graph is certified as degenerate, and friedman_ok is left blank.
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "experiment", "--model", "perm", "--n-list", "10",
+                         "--d-list", "0", "--k", "2", "--out", str(out))
+    row, = csv.DictReader(open(out))
+    assert code == 0 and row["failed"] == "false" and row["friedman_ok"] == ""
+    assert (row["degenerate"], row["crossing_lb"]) == ("true", "0")
 
 
 def test_experiment_and_fit(tmp_path, capsys):

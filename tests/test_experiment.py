@@ -8,9 +8,10 @@ import pytest
 
 import kplanar.experiment
 from kplanar.experiment import (ExperimentConfig, FitError, fit_scaling,
-                                run_experiment, summarize_frequencies,
+                                run_experiment, seeded_witness, summarize_frequencies,
                                 write_records)
-from kplanar.models import SampleError
+from kplanar.graph import random_edge_partition
+from kplanar.models import SampleError, sample_gnp
 from kplanar.seeds import derive_seed, mix64
 
 
@@ -19,6 +20,12 @@ def small_cfg(**kw):
                 trials=2, master_seed=11)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _assert_degree_zero_row(rec):
+    assert rec.edges == 0 and not rec.failed and rec.error == ""
+    assert rec.friedman_ok is None
+    assert rec.degenerate is True and rec.crossing_lb == 0.0
 
 
 class TestSeeds:
@@ -76,10 +83,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("model", ["perm", "cycle", "matching", "uniform"])
     def test_degree_zero_row_names_the_friedman_requirement(self, model):
-        # d = 0 samples the edgeless graph; the Friedman check needs d >= 1.
+        # d = 0 samples the edgeless graph; the Friedman check needs d >= 1, so the
+        # row leaves friedman_ok blank, and its certificate is degenerate.
         rec, = run_experiment(small_cfg(model=model, n_list=(10,), d_list=(0,), trials=1))
-        assert rec.edges == 0 and rec.failed
-        assert rec.error == "ValueError: friedman_check needs d >= 1 (got d=0)"
+        _assert_degree_zero_row(rec)
 
     def test_invariant_violation_aborts_sweep(self, monkeypatch):
         def broken_chain(*args, **kwargs):
@@ -125,8 +132,7 @@ class TestRunExperiment:
 
     def test_odd_n_matching_degree_zero_row_names_the_friedman_requirement(self):
         rec, = run_experiment(small_cfg(n_list=(31,), d_list=(0,), trials=1))
-        assert rec.edges == 0 and rec.failed
-        assert rec.error == "ValueError: friedman_check needs d >= 1 (got d=0)"
+        _assert_degree_zero_row(rec)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -280,6 +286,15 @@ class TestSummarize:
     def test_empty(self):
         with pytest.raises(ValueError):
             summarize_frequencies([], "friedman_ok")
+
+
+def test_seeded_witness_refuses_a_partition_of_another_k():
+    # A 2-class partition used to give a 2-level chain when k = 3 was asked for.
+    g = sample_gnp(60, 0.2, 1)
+    with pytest.raises(ValueError, match=re.escape("edge partition has k=2 classes, "
+                                                   "the witness asks for k=3")):
+        seeded_witness(g, 3, 7, ep=random_edge_partition(g, 2, 5))
+    assert len(seeded_witness(g, 3, 7, ep=random_edge_partition(g, 3, 5)).levels) == 3
 
 
 def test_write_records_roundtrip(tmp_path):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kplanar.graph import (EdgePartition, Graph, GraphError, _neighbours, cut_size,
-                           induced_subgraph, random_edge_partition, read_edge_list,
-                           write_edge_list)
+                           random_edge_partition, read_edge_list, write_edge_list)
 from kplanar.models import _multigraph_keys, _simplify
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, simple_edge_lists
@@ -193,6 +192,36 @@ def test_class_subgraph_keeps_aligned_edges(k4):
     assert ep.class_subgraph(k4, 0).n == 4
 
 
+@pytest.mark.parametrize("c", [-1, 2, 5])
+def test_class_subgraph_refuses_a_class_outside_k(k4, c):
+    # A class index past k used to give the edgeless graph.
+    with pytest.raises(GraphError, match=re.escape(f"class {c} is not in 0..1")):
+        EdgePartition(2, [0, 1, 0, 1, 0, 1]).class_subgraph(k4, c)
+
+
+@pytest.mark.parametrize("ground", [[0, 2, 1], [0, 1, 1], [-1, 2], [1, 4], [[0, 1], [2, 3]]],
+                         ids=["unsorted", "repeat", "negative", "past-n", "2-d"])
+def test_class_subgraph_refuses_a_ground_not_strictly_ascending_in_range(k4, ground):
+    with pytest.raises(GraphError, match=re.escape("strictly ascending array of ids in 0..3")):
+        _restrict(k4, ground)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n - 1)), st.integers(1, 3), st.integers(0, 2**32 - 1))))
+def test_class_subgraph_matches_brute_restriction(case):
+    # Vertices i < j of the restriction are adjacent iff (ground[i], ground[j]) is a class-c edge.
+    n, ids, k, seed = case
+    g = random_graph(n, 0.4, seed)
+    ep = random_edge_partition(g, k, seed)
+    ground = np.array(sorted(ids), dtype=np.int64)
+    for c in range(k):
+        host = {(u, v) for (u, v), cls in zip(g.edges.tolist(), ep.classes.tolist()) if cls == c}
+        want = Graph(len(ground), [(i, j) for i, j in combinations(range(len(ground)), 2)
+                                   if (ground[i], ground[j]) in host])
+        assert ep.class_subgraph(g, c, ground) == want
+
+
 def test_random_edge_partition_of_no_edges_and_one_class():
     assert random_edge_partition(Graph(4, []), 3, 1).classes.size == 0
     ep = random_edge_partition(complete_graph(6), 1, 1)
@@ -242,71 +271,39 @@ def test_cut_size_symmetry_and_bound():
         assert cut_size(g, x, y) <= len(x) * len(y)
 
 
+def _restrict(g: Graph, ground) -> Graph:
+    """g restricted to the vertices of the ascending list `ground`."""
+    return EdgePartition(1, np.zeros(g.num_edges, dtype=np.int64)).class_subgraph(
+        g, 0, np.array(ground))
+
+
 def test_cut_plus_internals_equals_edges():
     for seed in range(10):
         g = random_graph(9, 0.5, seed)
         b1, b2 = list(range(4)), list(range(4, 9))
-        inner1 = induced_subgraph(g, b1)[0].num_edges
-        inner2 = induced_subgraph(g, b2)[0].num_edges
+        inner1 = _restrict(g, b1).num_edges
+        inner2 = _restrict(g, b2).num_edges
         assert cut_size(g, b1, b2) + inner1 + inner2 == g.num_edges
 
 
 def test_induced_k4_triangle(k4):
-    sub, back = induced_subgraph(k4, [0, 1, 2])
+    sub = _restrict(k4, [0, 1, 2])
     assert sub.num_edges == 3 and sub.n == 3
-    assert back == [0, 1, 2]
 
 
 def test_induced_c6_even_vertices(c6):
-    sub, _ = induced_subgraph(c6, [0, 2, 4])
+    sub = _restrict(c6, [0, 2, 4])
     assert sub.n == 3 and sub.num_edges == 0
 
 
 def test_induced_identity():
     g = random_graph(7, 0.4, 3)
-    sub, back = induced_subgraph(g, range(7))
-    assert sub.edges.tolist() == g.edges.tolist() and back == list(range(7))
-
-
-def test_induced_rejects_empty(k4):
-    with pytest.raises(GraphError, match="empty"):
-        induced_subgraph(k4, [])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 30).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))))
-def test_induced_input_forms_agree_with_the_set_rule(case):
-    # The restriction used to normalise its input with sorted(set(S)); every container,
-    # and an int array in any order with repeats, must give that subgraph and back_map.
-    n, ids = case
-    g = random_graph(n, 0.3, n + len(ids))
-    back = sorted(set(ids))
-    pos = {v: i for i, v in enumerate(back)}
-    want = Graph(len(back), [(pos[u], pos[v]) for u, v in g.edges.tolist() if u in pos and v in pos])
-    arr = np.array(ids, dtype=np.int64)
-    for S in (set(ids), ids, tuple(ids), arr, np.sort(arr), np.array(back), arr.astype(np.int32)):
-        sub, got = induced_subgraph(g, S)
-        assert sub == want and got == back and all(type(v) is int for v in got)
+    assert _restrict(g, range(7)).edges.tolist() == g.edges.tolist()
 
 
 def test_induced_refuses_float_ids(k4):
     with pytest.raises(GraphError, match="integers"):
-        induced_subgraph(k4, np.array([0.0, 1.0]))
-
-
-def test_induced_preserves_adjacency_exhaustive():
-    # adjacency in the restriction matches the host for every subset, n <= 6
-    g = random_graph(6, 0.5, 11)
-    host = set(map(tuple, g.edges.tolist()))
-    verts = range(6)
-    for size in range(1, 7):
-        for s in combinations(verts, size):
-            sub, back = induced_subgraph(g, s)
-            kept = set(map(tuple, sub.edges.tolist()))
-            for i in range(sub.n):
-                for j in range(i + 1, sub.n):
-                    assert ((i, j) in kept) == ((back[i], back[j]) in host)
+        _restrict(k4, [0.0, 1.0])
 
 
 def test_edge_list_roundtrip(tmp_path):

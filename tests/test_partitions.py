@@ -411,7 +411,7 @@ class TestWitnessChain:
         ep = random_edge_partition(g, 3, seed=9)
         chain = witness_chain(g, ep, lambda h: local_search_bisection(h, seed=9, restarts=2))
         n, k = g.n, 3
-        for i, y in enumerate(chain.y_sets, start=2):
+        for i, y in enumerate(chain.to_dict()["y_sets"], start=2):
             assert len(y) >= math.ceil(n / 3 ** (i - 1))
         t = math.ceil(n / (6 * 3 ** (k - 2)))
         assert len(chain.A) == len(chain.B) >= t
@@ -455,11 +455,11 @@ class TestWitnessChain:
         g = random_graph(54, 0.15, 9)
         ep = random_edge_partition(g, 3, seed=9)
         chain = witness_chain(g, ep, lambda h: local_search_bisection(h, seed=9, restarts=2))
-        levels = chain.to_dict()["levels"]
+        levels, y_sets = chain.to_dict()["levels"], chain.to_dict()["y_sets"]
         assert levels[0]["pretrim_sizes"] is None and levels[0]["posttrim_sizes"] is None
         y1, y2 = lemma1_split(chain.levels[0].side, chain.levels[1].side)
         assert levels[1]["pretrim_sizes"] == [len(y1), len(y2)]
-        for level, y in zip(levels[1:], chain.y_sets):
+        for level, y in zip(levels[1:], y_sets):
             t = min(level["pretrim_sizes"])
             assert level["posttrim_sizes"] == [t, t] and 2 * t == len(y)
         assert levels[-1]["posttrim_sizes"] == [len(chain.A), len(chain.B)]
