@@ -3,7 +3,8 @@ emission and scaling-exponent fits.
 
 Rows are emitted in canonical order (grid order, then trial index) and
 every float is serialized with 17 significant digits, so a repeated run
-with the same master seed produces byte-identical output.  Per-trial
+with the same master seed produces byte-identical output, whether its
+trials ran in this process or in forked workers.  Per-trial
 failures become flagged rows; they never abort a sweep.  An invariant
 violation (AssertionError) is a bug, not a failed trial, and does abort it.
 """
@@ -12,9 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +32,13 @@ __all__ = ["ExperimentConfig", "TrialRecord", "run_experiment", "seeded_witness"
            "write_records", "fit_scaling", "summarize_frequencies", "FitError"]
 
 WITNESS_RESTARTS = 4  # local-search restarts per witness level in a sweep row
+
+# Peak memory of one sweep trial per expected edge; local search, the witness's
+# stage, is the largest.  A trial with a k = 2 witness grew max-RSS by 89-98 B per
+# edge over a warmed-up process on G(6000, 0.0167), G(20000, 0.003) and
+# PERMUTATION n = 6000, d = 100 and n = 2e4 and 4e4, d = 30 (3e5-6e5 edges; one
+# BLAS thread, 2-vCPU Xeon VM).
+TRIAL_BYTES_PER_EDGE = 100
 
 
 class FitError(RuntimeError):
@@ -161,16 +171,72 @@ def _run_trial(cfg: ExperimentConfig, n: int, d: int | None, p: float | None, tr
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None,
                    fmt: str = "csv") -> list[TrialRecord]:
     """One record per (cell, trial), in canonical order, deterministic given
-    the master seed.  When out_path is set, each row is flushed as it
-    completes, so an interrupted run keeps its finished cells."""
-    trials = (
-        _run_trial(cfg, n, d, p, t, derive_seed(cfg.master_seed, ci * cfg.trials + t))
-        for ci, (n, d, p) in enumerate(cfg.cells)
-        for t in range(cfg.trials)
-    )
-    if out_path:
-        return write_records(trials, out_path, fmt, cfg.with_timings)
-    return list(trials)
+    the master seed.  When out_path is set, rows are flushed as they arrive,
+    in canonical order, so an interrupted run keeps its finished rows.
+
+    The trials run in forked worker processes when `_workers` allows more than
+    one, else in this process; each trial reads only its own seed, so the rows
+    are the same either way."""
+    tasks = [(cfg, n, d, p, t, derive_seed(cfg.master_seed, ci * cfg.trials + t))
+             for ci, (n, d, p) in enumerate(cfg.cells)
+             for t in range(cfg.trials)]
+    with closing(_trials(tasks, _workers(cfg, len(tasks)))) as trials:
+        if out_path:
+            return write_records(trials, out_path, fmt, cfg.with_timings)
+        return list(trials)
+
+
+def _expected_edges(n: int, d: int | None, p: float | None) -> float:
+    return n * d / 2 if p is None else p * n * (n - 1) / 2
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _workers(cfg: ExperimentConfig, ntasks: int) -> int:
+    """Processes for a sweep of ntasks trials: one per allowed core, at most one
+    per task, and few enough that each can hold the largest cell's trial peak
+    (TRIAL_BYTES_PER_EDGE) in physical memory.  1 runs the trials in this
+    process, as it must in a daemonic one (which may not fork) or where fork
+    is not a start method."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = min(cores, ntasks)
+    if jobs < 2:
+        return 1
+    peak = TRIAL_BYTES_PER_EDGE * max(_expected_edges(*cell) for cell in cfg.cells)
+    jobs = min(jobs, int(_physical_memory() // max(peak, 1.0)))
+    if jobs < 2:
+        return 1
+    import multiprocessing
+    if multiprocessing.current_process().daemon or (
+            "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return jobs
+
+
+def _trials(tasks: list[tuple], jobs: int) -> Iterator[TrialRecord]:
+    """`_run_trial` over tasks, yielded in their order, on `jobs` forked
+    workers.  The pool starts at the first record asked for and is shut down,
+    pending chunks cancelled, when the generator ends, raises or is closed."""
+    if jobs < 2:
+        yield from map(_run_trial, *zip(*tasks))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Forked, not spawned: a spawned worker would import the package again, about
+    # 0.46 s, twice what a six-trial witness_gnp sweep takes serially.  The pool
+    # forks its workers before it starts its management thread.
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(_run_trial, *zip(*tasks),
+                            chunksize=max(1, len(tasks) // (4 * jobs)))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a sweep worker died: BrokenProcessPool: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fmt_value(v) -> str:

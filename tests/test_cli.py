@@ -3,9 +3,12 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import random
 import re
 import shlex
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from kplanar.cli import build_parser, main
 from kplanar.experiment import WITNESS_RESTARTS, _fmt_value
 from kplanar.graph import write_edge_list
 from kplanar.models import RegularModel, sample_gnp, sample_regular
+from kplanar.seeds import derive_seed
 
 from conftest import (complete_graph, cycle_graph, petersen_graph, random_graph,
                       readme_commands)
@@ -584,6 +588,50 @@ def test_experiment_invariant_violation_exit_code(tmp_path, monkeypatch, capsys)
                            "--d-list", "4", "--witness", "--out", str(tmp_path / "s.csv"))
     assert code == 3
     assert "invariant violated: witness-chain inequality violated" in err
+
+
+def test_experiment_invariant_violation_in_a_worker_exit_code(tmp_path, monkeypatch, capsys):
+    # Two trials on two cores: the violation is raised in a forked worker and
+    # reaches the CLI as the same AssertionError.
+    def broken_chain(*args, **kwargs):
+        raise AssertionError("witness-chain inequality violated: e(A,B)=9 > 8")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(kplanar.experiment, "witness_chain", broken_chain)
+    code, _, err = run_cli(capsys, "experiment", "--model", "matching", "--n-list", "20",
+                           "--d-list", "4", "--trials", "2", "--witness",
+                           "--out", str(tmp_path / "s.csv"))
+    assert code == 3
+    assert err == "invariant violated: witness-chain inequality violated: e(A,B)=9 > 8\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_experiment_dead_worker_exits_1(tmp_path, monkeypatch, capsys):
+    # The worker that draws the last of four trials waits until the three rows
+    # before it are on disk, then dies without a word.
+    argv = ["experiment", "--model", "matching", "--n-list", "20", "--d-list", "4",
+            "--trials", "4", "--seed", "9", "--witness", "--out"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_cli(capsys, *argv, str(tmp_path / "serial.csv"))[0] == 0
+    serial = (tmp_path / "serial.csv").read_text().splitlines()
+    out = tmp_path / "s.csv"
+    real, last = kplanar.experiment.sample, derive_seed(9, 3)
+
+    def dying_sample(model, n, d, p, seed):
+        if seed == last:
+            deadline = time.monotonic() + 30
+            while len(out.read_text().splitlines()) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(1)
+        return real(model, n, d, p, seed)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(kplanar.experiment, "sample", dying_sample)
+    code, _, err = run_cli(capsys, *argv, str(out))
+    assert code == 1
+    assert re.fullmatch(r"error: a sweep worker died: BrokenProcessPool: [^\n]+\n", err), err
+    assert out.read_text().splitlines() == serial[:4]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("excess,code", [(0, 0), (1, 3)])

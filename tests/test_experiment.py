@@ -1,5 +1,7 @@
 import csv
 import math
+import multiprocessing
+import os
 import random
 import re
 
@@ -209,6 +211,88 @@ class TestRunExperiment:
                             lambda rec: read.append(rec) or to_dict(rec))
         write_records(recs, str(tmp_path / "r.json"), "json")
         assert list(map(id, read)) == list(map(id, recs))
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+# A dense row (n = 30), Lanczos rows (n = 402), witness rows and a failed row
+# (d = 40 >= n = 30): 8 trials.
+MIXED_GRID = dict(model="perm", n_list=(30, 402), d_list=(4, 40), with_witness=True,
+                  master_seed=5)
+
+
+class TestWorkers:
+    def _sweep(self, monkeypatch, cores, **kw):
+        """run_experiment on `cores` allowed cores, and the worker counts it chose."""
+        _cores(monkeypatch, cores)
+        chosen, workers = [], kplanar.experiment._workers
+        monkeypatch.setattr(kplanar.experiment, "_workers",
+                            lambda *a: chosen.append(workers(*a)) or chosen[-1])
+        return run_experiment(small_cfg(**MIXED_GRID), **kw), chosen
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, fmt):
+        out = {}
+        for cores in (1, 3):
+            path = tmp_path / f"{cores}.{fmt}"
+            recs, chosen = self._sweep(monkeypatch, cores, out_path=str(path), fmt=fmt)
+            assert chosen == [cores]
+            out[cores] = path.read_bytes()
+        assert out[1] == out[3]
+        assert multiprocessing.active_children() == []
+        kinds = [(r.n, r.d, r.failed, r.e_ab is not None) for r in recs]
+        assert kinds[2:4] == [(30, 40, True, False)] * 2
+        assert (402, 4, False, True) in kinds and (30, 4, False, True) in kinds
+
+    def test_timed_rows_keep_their_canonical_columns(self, monkeypatch):
+        def canonical(recs):
+            return [{c: r.to_dict()[c] for c in kplanar.experiment.CSV_FIELDS} for r in recs]
+
+        serial, _ = self._sweep(monkeypatch, 1)
+        _cores(monkeypatch, 2)
+        timed = run_experiment(small_cfg(**MIXED_GRID, with_timings=True))
+        assert canonical(timed) == canonical(serial)
+        assert all(r.wall_time_s > 0 for r in timed)
+
+    def test_one_worker_per_allowed_core_and_task(self, monkeypatch):
+        cfg = small_cfg()
+        for cores, ntasks, jobs in [(1, 8, 1), (2, 1, 1), (2, 8, 2), (3, 2, 2), (3, 8, 3)]:
+            _cores(monkeypatch, cores)
+            assert kplanar.experiment._workers(cfg, ntasks) == jobs
+
+    def test_daemonic_process_runs_serially(self, monkeypatch):
+        _cores(monkeypatch, 4)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: type(
+            "Daemon", (), {"daemon": True})())
+        assert kplanar.experiment._workers(small_cfg(), 8) == 1
+
+    def test_sweep_inside_a_pool_worker(self):
+        # A pool worker is daemonic and may not fork; its sweep runs serially.
+        cfg = small_cfg(trials=3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            recs = pool.apply(run_experiment, (cfg,))
+        assert [r.to_dict() for r in recs] == [r.to_dict() for r in run_experiment(cfg)]
+
+    def test_no_fork_runs_serially(self, monkeypatch):
+        _cores(monkeypatch, 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert kplanar.experiment._workers(small_cfg(), 8) == 1
+
+    @pytest.mark.parametrize("model,grid", [("perm", {"d_list": (2, 100)}),
+                                            ("gnp", {"p_list": (0.1, 0.5)})])
+    def test_workers_fit_in_physical_memory(self, monkeypatch, model, grid):
+        # The largest cell, n = 10**5 at d = 100 or p = 0.5, sets the estimate; no
+        # graph is drawn.
+        cfg = ExperimentConfig(model=model, n_list=(1000, 10**5), **grid)
+        edges = 10**5 * 100 / 2 if model == "perm" else 0.5 * 10**5 * (10**5 - 1) / 2
+        peak = kplanar.experiment.TRIAL_BYTES_PER_EDGE * edges
+        _cores(monkeypatch, 4)
+        for pages, jobs in [(0.5, 1), (1.5, 1), (2.5, 2), (100, 4)]:
+            monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096,
+                                                "SC_PHYS_PAGES": pages * peak / 4096}.get)
+            assert kplanar.experiment._workers(cfg, 8) == jobs
 
 
 class TestFitScaling:

@@ -2,9 +2,12 @@ import argparse
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 from kplanar.cli import build_parser, main
 from kplanar.graph import Graph
@@ -202,6 +205,16 @@ def test_every_eigsh_call_seeds_its_vectors():
     assert calls
     assert [path for path, call in calls
             if not {"v0", "rng"} <= {kw.arg for kw in call.keywords}] == []
+
+
+def test_import_leaves_the_worker_pool_out():
+    # A sweep imports the process pool only when it forks workers; `import kplanar`
+    # and the CLI, which every run pays for, do not (about 4 ms).
+    code = ("import sys, kplanar, kplanar.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out == "[]\n"
 
 
 def test_readme_library_imports_resolve():
